@@ -2,15 +2,21 @@
 
 Submodules:
 
-* ``sampling``: seeded Gaussian sampling primitives (Cholesky, circulant).
+* ``sampling``: seeded Gaussian sampling primitives (Cholesky, circulant)
+  and the covariance-route Brownian bridge kept as a reference sampler.
 * ``heat_model``: the stationary field covariance and two independent
-  simulators of its increment process.
+  Monte Carlo tasks for its increments (Cholesky and driving sheet).
 * ``spectral``: the integrator quadratic form and its inequalities.
 * ``gram``: Gram determinants, projection identities, simplex integrals.
-* ``local_time``: kernel-smoothed occupation estimators and exact moments.
+* ``local_time``: the uniform-grid path samplers, kernel-smoothed
+  occupation replicates, and exact moments.
 * ``mc``: the reproducible parallel Monte Carlo engine.
+* ``reports``: claim reports, aggregate tables, and their CSV/JSON codec.
 * ``verify``: the claim-by-claim verification suite.
 * ``cli``: command-line entry point.
+
+Every Monte Carlo task is an array kernel ``f(seed, ...) -> np.ndarray``
+that the engine maps over (master seed, replicate index) pairs.
 """
 
 from ._version import __version__
@@ -32,7 +38,7 @@ from .errors import (
     UnknownProcess,
     UnsupportedOrder,
 )
-from .grids import PathSample, SpatialGrid
+from .grids import SpatialGrid
 from .sampling import SeedSpec
 from .mc import MCResult, RunConfig, default_config, run_replicates
 from .reports import SuiteReport
@@ -56,7 +62,6 @@ __all__ = [
     "SupportTooLong",
     "UnknownProcess",
     "UnsupportedOrder",
-    "PathSample",
     "SpatialGrid",
     "SeedSpec",
     "MCResult",

@@ -5,12 +5,14 @@ moments subsets, emitting one report row per claim) or produce aggregate
 tables (simulate, localtime).  Output goes to --out or stdout as CSV or
 JSON; a human-readable status summary goes to stderr.
 
-Exit codes: 0 success, 1 at least one failed claim, 2 configuration error.
+Exit codes: 0 success, 1 at least one failed claim, 2 configuration or
+output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
@@ -18,24 +20,27 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
-from .local_time import _process_interval, local_time_replicate
+from .local_time import _process_interval, local_time_replicate, path_values
 from .mc import (
-    AggregateTable,
     DEFAULT_EPSILON_SCHEDULE,
     FAULT_MODES,
     PROCESSES,
     RunConfig,
     config_dict,
     run_replicates,
+)
+from .reports import (
+    FAIL,
+    AggregateTable,
+    reports_to_csv,
+    reports_to_json,
     table_to_csv,
     table_to_json,
 )
-from .reports import FAIL, reports_to_csv, reports_to_json
 from .verify import (
     first_failure,
     gram_reports,
     moment_reports,
-    path_replicate,
     spectral_reports,
     verify_all,
 )
@@ -118,12 +123,7 @@ def _cli_interval(config: RunConfig) -> tuple[float, float]:
 
 def _simulate_table(config: RunConfig) -> AggregateTable:
     interval = _cli_interval(config)
-    task = partial(
-        path_replicate,
-        process_tag=config.process,
-        n=config.grid_points,
-        interval=interval,
-    )
+    task = partial(path_values, config.process, n=config.grid_points, interval=interval)
     res = run_replicates(task, config)
     points = np.linspace(interval[0], interval[1], config.grid_points)
     rows = tuple(
@@ -202,35 +202,42 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    if config.output_path is not None:
+        out_dir = os.path.dirname(os.path.abspath(config.output_path))
+        if not os.path.isdir(out_dir):
+            print(f"output error: no directory {out_dir} for --out", file=sys.stderr)
+            return 2
 
+    reports = []
     try:
         if config.command in _REPORT_COMMANDS:
             reports = _REPORT_COMMANDS[config.command](config)
-            if config.output_format == "csv":
-                text = reports_to_csv(reports)
-            else:
-                text = reports_to_json(reports, config_dict(config), __version__)
-            _emit(text, config)
-            for r in reports:
-                print(f"{r.status:20s} {r.claim_id}", file=sys.stderr)
-            if any(r.status == FAIL for r in reports):
-                print(f"first failing claim: {first_failure(reports)}", file=sys.stderr)
-                return 1
-            return 0
-
-        table = _simulate_table(config) if config.command == "simulate" else _localtime_table(config)
-        if config.output_format == "csv":
-            text = table_to_csv(table)
+            body, to_csv, to_json = reports, reports_to_csv, reports_to_json
         else:
-            text = table_to_json(table, config_dict(config), __version__)
-        _emit(text, config)
-        return 0
+            build = _simulate_table if config.command == "simulate" else _localtime_table
+            body, to_csv, to_json = build(config), table_to_csv, table_to_json
+        if config.output_format == "csv":
+            text = to_csv(body)
+        else:
+            text = to_json(body, config_dict(config), __version__)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except HeatLocalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    try:
+        _emit(text, config)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    for r in reports:
+        print(f"{r.status:20s} {r.claim_id}", file=sys.stderr)
+    if any(r.status == FAIL for r in reports):
+        print(f"first failing claim: {first_failure(reports)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

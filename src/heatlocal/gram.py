@@ -61,18 +61,6 @@ class VectorFamily:
         return VectorFamily(np.vstack([self.vectors, extra]))
 
 
-@dataclass
-class GramMatrix:
-    entries: np.ndarray
-    source: VectorFamily | None = None
-
-
-def gram_matrix(family: VectorFamily) -> GramMatrix:
-    v = family.vectors
-    g = v @ v.T
-    return GramMatrix(0.5 * (g + g.T), family)
-
-
 def gram_det(family: VectorFamily) -> float:
     """Gram determinant via jittered Cholesky with log accumulation.
 
@@ -80,8 +68,9 @@ def gram_det(family: VectorFamily) -> float:
     floor), which the callers treat as zero.  Log accumulation keeps
     determinants of up to eight long vectors away from underflow.
     """
-    g = gram_matrix(family).entries
-    L, _ = jittered_cholesky(g)
+    v = family.vectors
+    g = v @ v.T
+    L, _ = jittered_cholesky(0.5 * (g + g.T))
     diag = np.diag(L)
     if np.any(diag <= 0.0):
         return 0.0
@@ -201,22 +190,6 @@ def invertible_gram_values(matrix: np.ndarray, family: VectorFamily) -> tuple[fl
     lhs = gram_det(transformed)
     rhs = sigma_min ** (2 * family.count) * gram_det(family)
     return lhs, rhs
-
-
-def check_invertible_gram_bound(
-    matrix: np.ndarray, family: VectorFamily, runtime_ms: float = 0.0
-) -> SuiteReport:
-    """G(A e_1, ..., A e_n) >= sigma_min(A)^(2n) G(e_1, ..., e_n).
-
-    Margin reported as slack; fails only below -1e-10.  NearSingular is
-    raised when the smallest singular value of A is at or below 1e-8.
-    """
-    lhs, rhs = invertible_gram_values(matrix, family)
-    from .reports import bound_report
-
-    return bound_report(
-        "invertible-gram-bound", lhs - rhs, tolerance=1e-10, runtime_ms=runtime_ms
-    )
 
 
 def probe_basis_extension_ratio(

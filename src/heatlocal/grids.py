@@ -1,14 +1,13 @@
-"""Spatial grids and sampled paths.
+"""Spatial grids.
 
 A :class:`SpatialGrid` is a strictly increasing set of points inside a fixed
-interval; a :class:`PathSample` binds one realisation of a process to its
-grid.  Both are plain containers shared by the simulators and the local-time
-estimators.
+interval: the evaluation points of the sheet simulator and the partitions
+of the spectral form.  Sampled paths are plain arrays on uniform grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +41,6 @@ class SpatialGrid:
         if pts[0] < lo - 1e-12 or pts[-1] > hi + 1e-12:
             raise ValueError("grid points fall outside the interval")
 
-    @property
-    def size(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def max_spacing(self) -> float:
-        if self.points.size < 2:
-            return 0.0
-        return float(np.max(np.diff(self.points)))
-
     def is_uniform(self, rtol: float = 1e-9) -> bool:
         d = np.diff(self.points)
         if d.size == 0:
@@ -62,21 +51,3 @@ class SpatialGrid:
     def uniform(cls, lo: float, hi: float, n: int) -> "SpatialGrid":
         return cls(np.linspace(lo, hi, n), (lo, hi))
 
-
-@dataclass(frozen=True)
-class PathSample:
-    """One sampled path: values aligned with ``grid.points``.
-
-    ``process`` records which model produced the path ("heat", "bridge",
-    "motion"); estimators that need the tag read it from here.
-    """
-
-    grid: SpatialGrid
-    values: np.ndarray
-    process: str = field(default="heat")
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ValueError("values and grid points must have equal shape")

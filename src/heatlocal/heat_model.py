@@ -7,44 +7,41 @@ with covariance
 
 obtained by integrating the squared heat kernel over the driving time.  The
 objects of interest are increments of that field relative to the left
-endpoint of an interval, sampled either through the increment covariance
-matrix or through a discretised driving sheet.
+endpoint of an interval.  Two independent Monte Carlo tasks sample them at
+a few points, one through the Cholesky factor of the increment covariance
+and one through a discretised driving sheet; the circulant-embedding
+weights behind the uniform-grid sampler ``local_time.heat_values`` live
+here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .errors import CutoffTooCoarse, NonPositiveTime
-from .grids import PathSample, SpatialGrid
-from .sampling import (
-    CovarianceMatrix,
-    SeedSpec,
-    circulant_embedding_weights,
-    jittered_cholesky,
-    sample_gaussian_vector,
-    sample_stationary_values,
-)
+from .grids import SpatialGrid
+from .sampling import CovarianceMatrix, SeedSpec, circulant_embedding_weights, jittered_cholesky
 
 SQRT_PI = np.sqrt(np.pi)
 
+# the driving-sheet discretisation: (time rows, spatial columns), the
+# spatial pad beyond the evaluation points, and how far short of the
+# observation time the rows stop
+_SHEET_RESOLUTION = (128, 2304)
+_SPATIAL_CUTOFF = 6.0 * np.sqrt(2.0)
+_TIME_CUTOFF = 1e-4
+
 __all__ = [
     "SQRT_PI",
-    "HeatCovariance",
     "heat_kernel",
     "covariance_R",
     "covariance_R_quadrature",
     "increment_covariance",
-    "increment_covariance_matrix",
-    "simulate_solution_path",
-    "simulate_solution_path_fft",
     "SheetOperator",
     "build_sheet_operator",
-    "simulate_via_sheet",
     "sheet_variance_bias",
     "path_increment_replicate",
     "sheet_increment_replicate",
@@ -112,50 +109,6 @@ def increment_covariance(u, v, base: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class HeatCovariance:
-    """Callable stationary covariance of the time-1 field.
-
-    The observation time is fixed at 1; there are no free parameters.
-    """
-
-    def __call__(self, d):
-        return covariance_R(d)
-
-    @property
-    def at_zero(self) -> float:
-        return float(covariance_R(0.0))
-
-
-def increment_covariance_matrix(grid: SpatialGrid) -> CovarianceMatrix:
-    """Increment covariance of the field on the grid, base = interval start."""
-    base = grid.interval[0]
-    pts = grid.points
-    return CovarianceMatrix(increment_covariance(pts[:, None], pts[None, :], base))
-
-
-def simulate_solution_path(grid: SpatialGrid, seed: SeedSpec) -> PathSample:
-    """Sample the increment field on the grid via its covariance matrix.
-
-    Grid points equal to the interval start get exactly zero (they have
-    zero variance); the rest are drawn jointly through the Cholesky route.
-    Intended for modest grids; use :func:`simulate_solution_path_fft` for
-    large uniform ones.
-    """
-    base = grid.interval[0]
-    pts = grid.points
-    pinned = pts == base
-    values = np.zeros(pts.size)
-    free = ~pinned
-    if np.any(free):
-        sub = SpatialGrid(pts[free], grid.interval)
-        cov = CovarianceMatrix(
-            increment_covariance(pts[free][:, None], pts[free][None, :], base)
-        )
-        values[free] = sample_gaussian_vector(cov, seed)
-    return PathSample(grid, values, process="heat")
-
-
 @lru_cache(maxsize=8)
 def _embedding_weights(n: int, spacing: float) -> np.ndarray:
     # pad to a power of two: keeps the FFT fast and the first n x n block exact
@@ -164,25 +117,6 @@ def _embedding_weights(n: int, spacing: float) -> np.ndarray:
         m *= 2
     lags = np.arange(m // 2 + 1) * spacing
     return circulant_embedding_weights(covariance_R(lags))
-
-
-def simulate_solution_path_fft(grid: SpatialGrid, seed: SeedSpec) -> PathSample:
-    """Exact increment-field sample on a uniform grid in O(n log n).
-
-    Samples the stationary field by circulant embedding (the covariance
-    sequence is convex and decreasing, so the embedding is PSD) and
-    subtracts the value at the first grid point.  The grid must be uniform
-    and start at the interval's left endpoint.
-    """
-    if not grid.is_uniform():
-        raise ValueError("FFT route needs a uniform grid")
-    if grid.points[0] != grid.interval[0]:
-        raise ValueError("FFT route needs the grid to start at the interval base")
-    n = grid.size
-    spacing = float(grid.points[1] - grid.points[0])
-    weights = _embedding_weights(n, spacing)
-    x = sample_stationary_values(weights, seed, n)
-    return PathSample(grid, x - x[0], process="heat")
 
 
 class SheetOperator:
@@ -214,10 +148,7 @@ class SheetOperator:
         pts = grid.points
         base = grid.interval[0]
         eval_pts = pts if pts[0] == base else np.concatenate(([base], pts))
-        self.grid = grid
         self.delta = float(time_cutoff)
-        self._has_base = pts[0] == base
-        self._eval_pts = eval_pts
 
         # time rows: uniform in rho = sqrt(1 - s), midpoint evaluation
         rho = np.linspace(np.sqrt(self.delta), 1.0, n_time + 1)
@@ -255,15 +186,6 @@ class SheetOperator:
         # einsum keeps the reduction single-threaded and bit-reproducible
         return np.einsum("ij,j->i", self._K, z)
 
-    def sample(self, seed: SeedSpec) -> PathSample:
-        """Increment field on the grid: sheet values minus the base value."""
-        field = self.sample_field(seed)
-        if self._has_base:
-            values = field - field[0]
-        else:
-            values = field[1:] - field[0]
-        return PathSample(self.grid, values, process="heat")
-
     def field_variance(self) -> np.ndarray:
         """Exact per-point variance of the discretised field (rows of K K^T)."""
         return np.einsum("ij,ij->i", self._K, self._K)
@@ -281,48 +203,38 @@ def _increment_cholesky(points: tuple, interval: tuple) -> np.ndarray:
 def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
     """One Cholesky-route increment sample as a Monte Carlo task.
 
-    Identical in output to :func:`simulate_solution_path` on a grid with no
-    point at the interval base; the factor is cached per process so large
-    replicate counts do not refactor the same matrix.
+    ``points`` must avoid the interval base, where the increment is
+    identically zero; the factor is cached per process so large replicate
+    counts do not refactor the same matrix.
     """
     L = _increment_cholesky(tuple(points), tuple(interval))
     z = seed.rng().standard_normal(L.shape[0])
     return L @ z
 
 
+def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:
+    """Sheet operator for the grid at the package's fixed discretisation."""
+    return SheetOperator(grid, _SHEET_RESOLUTION, _SPATIAL_CUTOFF, _TIME_CUTOFF)
+
+
 @lru_cache(maxsize=4)
-def _sheet_operator_cached(
-    points: tuple,
-    interval: tuple,
-    sheet_resolution: tuple,
-    spatial_cutoff: float,
-    time_cutoff: float,
-) -> SheetOperator:
-    grid = SpatialGrid(np.array(points), interval)
-    return SheetOperator(grid, sheet_resolution, spatial_cutoff, time_cutoff)
+def _sheet_operator_cached(points: tuple, interval: tuple) -> SheetOperator:
+    return build_sheet_operator(SpatialGrid(np.array(points), interval))
 
 
-def sheet_increment_replicate(
-    seed: SeedSpec,
-    points: tuple,
-    interval: tuple,
-    sheet_resolution: tuple = (128, 2304),
-    spatial_cutoff: float = 6.0 * np.sqrt(2.0),
-    time_cutoff: float = 1e-4,
-) -> np.ndarray:
+def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
     """One sheet-route increment sample as a Monte Carlo task.
 
-    The operator is built once per process and cached; only the constructor
-    parameters travel with the task, which keeps worker pickling cheap.
+    Independent of the covariance route: the only inputs are the heat
+    kernel and cell noise.  The operator is built once per process and
+    cached, so only the points travel with the task.  Returns the field at
+    the points minus the field at the interval base; a point at the base
+    gets exactly zero.
     """
-    op = _sheet_operator_cached(
-        tuple(points),
-        tuple(interval),
-        tuple(sheet_resolution),
-        float(spatial_cutoff),
-        float(time_cutoff),
-    )
-    return op.sample(seed).values
+    op = _sheet_operator_cached(tuple(points), tuple(interval))
+    field = op.sample_field(seed)
+    # the field leads with the base value, followed by the points
+    return field[-len(points) :] - field[0]
 
 
 def sheet_variance_bias(time_cutoff: float) -> float:
@@ -331,36 +243,3 @@ def sheet_variance_bias(time_cutoff: float) -> float:
     Equals the tail integral of the squared-kernel mass: sqrt(delta)/sqrt(pi).
     """
     return float(np.sqrt(time_cutoff) / SQRT_PI)
-
-
-def build_sheet_operator(
-    grid: SpatialGrid,
-    sheet_resolution: tuple[int, int] = (128, 2304),
-    spatial_cutoff: float = 6.0 * np.sqrt(2.0),
-    time_cutoff: float = 1e-4,
-) -> SheetOperator:
-    return SheetOperator(grid, sheet_resolution, spatial_cutoff, time_cutoff)
-
-
-def simulate_via_sheet(
-    grid: SpatialGrid,
-    seed: SeedSpec,
-    sheet_resolution: tuple[int, int] = (128, 2304),
-    spatial_cutoff: float = 6.0 * np.sqrt(2.0),
-    time_cutoff: float = 1e-4,
-    bias_tolerance: float | None = None,
-) -> PathSample:
-    """Increment field sampled from the discretised driving sheet.
-
-    Independent of the covariance route: the only inputs are the heat
-    kernel and cell noise.  The documented variance bias of the
-    undifferenced field is sqrt(time_cutoff)/sqrt(pi); if ``bias_tolerance``
-    is given and the predicted bias exceeds it, CutoffTooCoarse is raised.
-    """
-    if bias_tolerance is not None and sheet_variance_bias(time_cutoff) > bias_tolerance:
-        raise CutoffTooCoarse(
-            f"time cutoff {time_cutoff:.3e} gives predicted bias "
-            f"{sheet_variance_bias(time_cutoff):.3e} > {bias_tolerance:.3e}"
-        )
-    op = SheetOperator(grid, sheet_resolution, spatial_cutoff, time_cutoff)
-    return op.sample(seed)

@@ -17,7 +17,6 @@ Moment references:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,81 +25,21 @@ from scipy import integrate, special
 from .errors import (
     BandwidthTooSmall,
     NonPositiveA,
-    NonPositiveTime,
     SingularCovariance,
     UnknownProcess,
     UnsupportedOrder,
 )
-from .grids import PathSample, SpatialGrid
-from .heat_model import SQRT_PI, _embedding_weights, covariance_R, increment_covariance
+from .heat_model import _embedding_weights, covariance_R, increment_covariance
 from .sampling import SeedSpec, sample_stationary_values
 
-PROCESS_TAGS = ("heat", "bridge", "motion")
 
-DEFAULT_SCHEDULE = (0.08, 0.04, 0.02, 0.01, 0.005)
+def bandwidth_floor(span: float, n: int) -> float:
+    """Smallest bandwidth the n-point uniform grid of a span resolves.
 
-# the kernel bandwidth (variance units) must cover several grid cells for
-# the trapezoid occupation sum to resolve the path
-BANDWIDTH_FLOOR_FACTOR = 4.0
-
-
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    value: float
-    epsilon: float
-    z: float
-    grid_size: int
-    process_tag: str
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("local-time estimate must be nonnegative")
-        if self.process_tag not in PROCESS_TAGS:
-            raise UnknownProcess(f"unknown process tag {self.process_tag!r}")
-
-
-@dataclass(frozen=True)
-class CauchyDiagnostic:
-    """Paired mean-square gaps between consecutive bandwidths."""
-
-    pairs: tuple[tuple[float, float], ...]
-    mean_square_gaps: tuple[float, ...]
-    standard_errors: tuple[float, ...]
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        g = self.mean_square_gaps
-        return all(a > b for a, b in zip(g[:-1], g[1:]))
-
-
-def gaussian_kernel(eps: float, y) -> np.ndarray:
-    if eps <= 0.0:
-        raise NonPositiveTime(f"kernel bandwidth must be positive, got {eps}")
-    y = np.asarray(y, dtype=float)
-    return np.exp(-y * y / (2.0 * eps)) / np.sqrt(2.0 * np.pi * eps)
-
-
-def smoothed_occupation(path: PathSample, z: float, eps: float) -> LocalTimeEstimate:
-    """Trapezoid rule for the smoothed occupation integral of one path.
-
-    Requires eps >= 4 x (max grid spacing); below that the kernel falls
-    between grid points and the estimate is meaningless, so
-    BandwidthTooSmall is raised instead.
+    The kernel bandwidth (variance units) must cover several grid cells
+    for the trapezoid occupation sum to resolve the path: 4 x spacing.
     """
-    floor = BANDWIDTH_FLOOR_FACTOR * path.grid.max_spacing
-    if eps < floor:
-        raise BandwidthTooSmall(
-            f"bandwidth {eps:.3e} below resolution floor {floor:.3e}"
-        )
-    vals = gaussian_kernel(eps, path.values - z)
-    value = float(np.trapezoid(vals, path.grid.points))
-    return LocalTimeEstimate(
-        value=value,
-        epsilon=float(eps),
-        z=float(z),
-        grid_size=path.grid.size,
-        process_tag=path.process,
-    )
+    return 4.0 * span / (n - 1)
 
 
 def marginal_variance(process_tag: str, s, interval: tuple[float, float]) -> np.ndarray:
@@ -367,7 +306,7 @@ def local_time_replicate(
     consecutive pairs (paired on this single path).
     """
     lo, hi = interval
-    floor = BANDWIDTH_FLOOR_FACTOR * (hi - lo) / (n - 1)
+    floor = bandwidth_floor(hi - lo, n)
     if min(schedule) < floor:
         raise BandwidthTooSmall(
             f"schedule minimum {min(schedule):.3e} below floor {floor:.3e}"
@@ -390,7 +329,7 @@ def motion_endpoint_replicate(
 
     Returns (V_eps over schedule, squared gaps, V at extra_eps, w(1)).
     """
-    floor = BANDWIDTH_FLOOR_FACTOR / (n - 1)
+    floor = bandwidth_floor(1.0, n)
     if min(min(schedule), extra_eps) < floor:
         raise BandwidthTooSmall(
             f"bandwidth below resolution floor {floor:.3e} for {n} grid points"
@@ -401,48 +340,3 @@ def motion_endpoint_replicate(
     gaps = np.diff(v) ** 2
     v_extra = smoothed_values(vals, trap_w, z, (extra_eps,))
     return np.concatenate([v, gaps, v_extra, [vals[-1]]])
-
-
-def cauchy_diagnostic(
-    process_tag: str,
-    z: float = 0.0,
-    schedule: tuple[float, ...] = (0.08, 0.04, 0.02, 0.01),
-    replicates: int = 20_000,
-    grid_points: int = 8192,
-    interval: tuple[float, float] | None = None,
-    master_seed: int = 0,
-    jobs: int = 1,
-) -> CauchyDiagnostic:
-    """Paired mean-square bandwidth gaps for one process family.
-
-    Every gap is estimated on the same path per replicate (never across
-    independent paths); equal bandwidths give exactly zero.
-    """
-    from functools import partial
-
-    from .mc import run_replicates
-
-    lo, hi = _process_interval(process_tag, interval)
-    task = partial(
-        local_time_replicate,
-        process_tag=process_tag,
-        n=grid_points,
-        interval=(lo, hi),
-        z=z,
-        schedule=tuple(schedule),
-    )
-    res = run_replicates(task, replicates=replicates, master_seed=master_seed, jobs=jobs)
-    k = len(schedule)
-    gaps = tuple(float(m) for m in res.mean[k:])
-    errs = tuple(float(s) for s in res.stderr[k:])
-    pairs = tuple((schedule[i], schedule[i + 1]) for i in range(k - 1))
-    return CauchyDiagnostic(pairs=pairs, mean_square_gaps=gaps, standard_errors=errs)
-
-
-def make_path(process_tag: str, seed: SeedSpec, grid: SpatialGrid) -> PathSample:
-    """Uniform-grid path of the named process as a PathSample."""
-    if not grid.is_uniform():
-        raise ValueError("local-time paths use uniform grids")
-    lo, hi = _process_interval(process_tag, tuple(grid.interval))
-    vals = path_values(process_tag, seed, grid.size, (lo, hi))
-    return PathSample(grid, vals, process=process_tag)

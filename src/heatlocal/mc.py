@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ReplicateFailure
-from .sampling import SeedSpec
+from .local_time import bandwidth_floor
+from .sampling import _UINT64_MAX, SeedSpec
 
 COMMANDS = ("simulate", "localtime", "moments", "spectral", "gram", "verify")
 OUTPUT_FORMATS = ("csv", "json")
@@ -32,8 +33,6 @@ DEFAULT_EPSILON_SCHEDULE = (0.08, 0.04, 0.02, 0.01, 0.005)
 # fixed reduction granularity: a worker always handles whole chunks, and
 # the fold over chunks is ordered by index, never by completion
 CHUNK = 1024
-
-_UINT64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class RunConfig:
 
     @property
     def bandwidth_floor(self) -> float:
-        return 4.0 * self.span / (self.grid_points - 1)
+        return bandwidth_floor(self.span, self.grid_points)
 
 
 def config_dict(config: RunConfig) -> dict:
@@ -247,85 +246,3 @@ def run_replicates(
         m4=s4 / n,
         raw=raw,
     )
-
-
-# ---------------------------------------------------------------------------
-# aggregate tables: the emission format of the simulate/localtime commands
-
-
-@dataclass(frozen=True)
-class AggregateTable:
-    """Named float columns; None cells allowed.  Round-trips via CSV/JSON."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float | None, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(str(c) for c in self.columns))
-        rows = tuple(
-            tuple(None if v is None else float(v) for v in row) for row in self.rows
-        )
-        object.__setattr__(self, "rows", rows)
-        for row in rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match the column count")
-
-
-_FLOAT_FMT = "%.17g"
-
-
-def table_to_csv(table: AggregateTable) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow(["" if v is None else _FLOAT_FMT % v for v in row])
-    return buf.getvalue()
-
-
-def table_from_csv(text: str) -> AggregateTable:
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    columns = tuple(next(reader))
-    rows = tuple(
-        tuple(None if cell == "" else float(cell) for cell in row)
-        for row in reader
-        if row
-    )
-    return AggregateTable(columns=columns, rows=rows)
-
-
-def table_to_json(table: AggregateTable, config: dict | None = None, version: str = "") -> str:
-    import json
-
-    payload = {
-        "config": config or {},
-        "aggregate": {
-            "columns": list(table.columns),
-            "rows": [
-                [None if v is None else _FLOAT_FMT % v for v in row]
-                for row in table.rows
-            ],
-        },
-        "version": version,
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def table_from_json(text: str) -> tuple[AggregateTable, dict, str]:
-    import json
-
-    payload = json.loads(text)
-    agg = payload["aggregate"]
-    table = AggregateTable(
-        columns=tuple(agg["columns"]),
-        rows=tuple(
-            tuple(None if v is None else float(v) for v in row) for row in agg["rows"]
-        ),
-    )
-    return table, payload.get("config", {}), payload.get("version", "")

@@ -1,4 +1,4 @@
-"""Machine-checkable claim reports and their CSV/JSON round-trip codecs.
+"""Machine-checkable claim reports, aggregate tables, and their codecs.
 
 A :class:`SuiteReport` records one verified claim: what was observed, what
 was expected, the tolerance in force, and the Monte Carlo standard error
@@ -6,8 +6,13 @@ when one exists.  A report only fails when the observation is genuinely out
 of tolerance (or a strict structural condition, such as monotonicity of
 Cauchy gaps, is violated); tolerances are never widened to force a pass.
 
-Floats are serialised with 17 significant digits so that parsing an emitted
-file reproduces the in-memory report exactly.
+An :class:`AggregateTable` is the emission format of the simulate and
+localtime commands: named float columns, with empty cells allowed.
+
+Both round-trip through CSV and through one JSON envelope
+``{"config", <body>, "version"}``.  Floats are serialised with 17
+significant digits so that parsing an emitted file reproduces the
+in-memory object exactly.
 """
 
 from __future__ import annotations
@@ -107,6 +112,14 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
+def _fmt_opt(x: float | None, missing):
+    return missing if x is None else _fmt(x)
+
+
+def _parse_opt(s) -> float | None:
+    return None if s is None or s == "" else float(s)
+
+
 def _fmt_seq(xs: tuple[float, ...]) -> str:
     return "|".join(_fmt(x) for x in xs)
 
@@ -115,6 +128,34 @@ def _parse_seq(s: str) -> tuple[float, ...]:
     if s == "":
         return ()
     return tuple(float(p) for p in s.split("|"))
+
+
+def _write_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _read_csv(text: str) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    return header, [row for row in reader if row]
+
+
+def _to_envelope(key: str, body, config: dict | None, version: str) -> str:
+    payload = {"config": config or {}, key: body, "version": version}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _from_envelope(text: str, key: str) -> tuple[object, dict, str]:
+    payload = json.loads(text)
+    return payload[key], payload.get("config", {}), payload.get("version", "")
+
+
+# ---------------------------------------------------------------------------
+# claim reports
 
 
 CSV_FIELDS = (
@@ -129,45 +170,39 @@ CSV_FIELDS = (
 
 
 def reports_to_csv(reports: list[SuiteReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in reports:
-        writer.writerow(
+    return _write_csv(
+        CSV_FIELDS,
+        (
             [
                 r.claim_id,
                 r.status,
                 _fmt_seq(r.observed),
                 _fmt_seq(r.expected),
                 _fmt(r.tolerance),
-                "" if r.standard_error is None else _fmt(r.standard_error),
+                _fmt_opt(r.standard_error, ""),
                 _fmt(r.runtime_ms),
             ]
-        )
-    return buf.getvalue()
+            for r in reports
+        ),
+    )
 
 
 def reports_from_csv(text: str) -> list[SuiteReport]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header, rows = _read_csv(text)
     if tuple(header) != CSV_FIELDS:
         raise ValueError(f"unexpected CSV header {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        out.append(
-            SuiteReport(
-                claim_id=row[0],
-                status=row[1],
-                observed=_parse_seq(row[2]),
-                expected=_parse_seq(row[3]),
-                tolerance=float(row[4]),
-                standard_error=None if row[5] == "" else float(row[5]),
-                runtime_ms=float(row[6]),
-            )
+    return [
+        SuiteReport(
+            claim_id=row[0],
+            status=row[1],
+            observed=_parse_seq(row[2]),
+            expected=_parse_seq(row[3]),
+            tolerance=float(row[4]),
+            standard_error=_parse_opt(row[5]),
+            runtime_ms=float(row[6]),
         )
-    return out
+        for row in rows
+    ]
 
 
 def report_to_dict(r: SuiteReport) -> dict:
@@ -178,7 +213,7 @@ def report_to_dict(r: SuiteReport) -> dict:
         "observed": [_fmt(x) for x in r.observed],
         "expected": [_fmt(x) for x in r.expected],
         "tolerance": _fmt(r.tolerance),
-        "standard_error": None if r.standard_error is None else _fmt(r.standard_error),
+        "standard_error": _fmt_opt(r.standard_error, None),
         "runtime_ms": _fmt(r.runtime_ms),
     }
 
@@ -190,23 +225,66 @@ def report_from_dict(d: dict) -> SuiteReport:
         observed=tuple(float(x) for x in d["observed"]),
         expected=tuple(float(x) for x in d["expected"]),
         tolerance=float(d["tolerance"]),
-        standard_error=None
-        if d["standard_error"] is None
-        else float(d["standard_error"]),
+        standard_error=_parse_opt(d["standard_error"]),
         runtime_ms=float(d["runtime_ms"]),
     )
 
 
 def reports_to_json(reports: list[SuiteReport], config: dict | None = None, version: str = "") -> str:
-    payload = {
-        "config": config or {},
-        "reports": [report_to_dict(r) for r in reports],
-        "version": version,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _to_envelope("reports", [report_to_dict(r) for r in reports], config, version)
 
 
 def reports_from_json(text: str) -> tuple[list[SuiteReport], dict, str]:
-    payload = json.loads(text)
-    reports = [report_from_dict(d) for d in payload["reports"]]
-    return reports, payload.get("config", {}), payload.get("version", "")
+    body, config, version = _from_envelope(text, "reports")
+    return [report_from_dict(d) for d in body], config, version
+
+
+# ---------------------------------------------------------------------------
+# aggregate tables
+
+
+@dataclass(frozen=True)
+class AggregateTable:
+    """Named float columns; None cells allowed.  Round-trips via CSV/JSON."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple[float | None, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(str(c) for c in self.columns))
+        rows = tuple(
+            tuple(None if v is None else float(v) for v in row) for row in self.rows
+        )
+        object.__setattr__(self, "rows", rows)
+        for row in rows:
+            if len(row) != len(self.columns):
+                raise ValueError("row width does not match the column count")
+
+
+def table_to_csv(table: AggregateTable) -> str:
+    return _write_csv(table.columns, ([_fmt_opt(v, "") for v in row] for row in table.rows))
+
+
+def table_from_csv(text: str) -> AggregateTable:
+    header, rows = _read_csv(text)
+    return AggregateTable(
+        columns=tuple(header),
+        rows=tuple(tuple(_parse_opt(cell) for cell in row) for row in rows),
+    )
+
+
+def table_to_json(table: AggregateTable, config: dict | None = None, version: str = "") -> str:
+    body = {
+        "columns": list(table.columns),
+        "rows": [[_fmt_opt(v, None) for v in row] for row in table.rows],
+    }
+    return _to_envelope("aggregate", body, config, version)
+
+
+def table_from_json(text: str) -> tuple[AggregateTable, dict, str]:
+    body, config, version = _from_envelope(text, "aggregate")
+    table = AggregateTable(
+        columns=tuple(body["columns"]),
+        rows=tuple(tuple(_parse_opt(v) for v in row) for row in body["rows"]),
+    )
+    return table, config, version

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPSD
-from .grids import PathSample, SpatialGrid
 
 # Escalation policy for the Cholesky jitter: start at JITTER_START x max
 # diagonal, multiply by JITTER_STEP, give up past JITTER_CAP x max diagonal.
@@ -50,16 +49,12 @@ class SeedSpec:
         )
         return np.random.Generator(np.random.Philox(ss))
 
-    def child(self, replicate_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, replicate_index)
-
 
 @dataclass
 class CovarianceMatrix:
-    """Symmetric PSD matrix plus the jitter needed to factor it."""
+    """Symmetric PSD matrix, symmetrised on construction."""
 
     entries: np.ndarray
-    jitter_applied: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -108,82 +103,37 @@ def sample_gaussian_vector(cov: CovarianceMatrix, seed: SeedSpec) -> np.ndarray:
     """Draw one centred Gaussian vector with the given covariance.
 
     The draw is ``L z`` for the (jittered) Cholesky factor ``L`` and a
-    standard normal ``z`` from the seed's stream; ``cov.jitter_applied``
-    records the jitter that was needed.
+    standard normal ``z`` from the seed's stream.
     """
-    L, jitter = jittered_cholesky(cov.entries)
-    cov.jitter_applied = jitter
+    L, _ = jittered_cholesky(cov.entries)
     z = seed.rng().standard_normal(cov.dim)
     return L @ z
 
 
-def brownian_motion_covariance(grid: SpatialGrid) -> CovarianceMatrix:
-    t = grid.points
-    if t[0] < 0.0:
-        raise ValueError("Brownian motion requires nonnegative times")
-    return CovarianceMatrix(np.minimum.outer(t, t))
-
-
-def brownian_bridge_covariance(grid: SpatialGrid) -> CovarianceMatrix:
-    t = grid.points
+def brownian_bridge_covariance(points) -> CovarianceMatrix:
+    """Bridge covariance min(s, t) (1 - max(s, t)) on times in [0, 1]."""
+    t = np.asarray(points, dtype=float)
     if t[0] < 0.0 or t[-1] > 1.0:
         raise ValueError("bridge grid must lie in [0, 1]")
     c = np.minimum.outer(t, t) * (1.0 - np.maximum.outer(t, t))
     return CovarianceMatrix(c)
 
 
-def sample_brownian_motion(grid: SpatialGrid, seed: SeedSpec) -> PathSample:
-    """Standard Brownian motion on the grid, started at w(0) = 0.
-
-    Uses the exact increment construction: independent normals scaled by
-    root spacing, cumulatively summed.  Grid points at 0 get exactly 0.
-    """
-    t = grid.points
-    if t[0] < 0.0:
-        raise ValueError("Brownian motion requires nonnegative times")
-    rng = seed.rng()
-    incs = np.sqrt(np.diff(np.concatenate(([0.0], t)))) * rng.standard_normal(t.size)
-    return PathSample(grid, np.cumsum(incs), process="motion")
-
-
-def sample_brownian_bridge(grid: SpatialGrid, seed: SeedSpec) -> PathSample:
+def sample_brownian_bridge(points, seed: SeedSpec) -> np.ndarray:
     """Brownian bridge on [0, 1] via its covariance matrix.
 
-    Endpoint values at t = 0 and t = 1 are set to exactly zero; interior
-    points are drawn jointly from the s(1-t) covariance through
-    :func:`sample_gaussian_vector`.
+    The reference route the fast ``local_time.bridge_values`` is tested
+    against.  ``points`` must lie in [0, 1]; values at t = 0 and t = 1 are
+    exactly zero, and interior points are drawn jointly from the s(1-t)
+    covariance through :func:`sample_gaussian_vector`.
     """
-    t = grid.points
-    if t[0] < 0.0 or t[-1] > 1.0:
-        raise ValueError("bridge grid must lie in [0, 1]")
-    boundary = (t == 0.0) | (t == 1.0)
+    t = np.asarray(points, dtype=float)
     values = np.zeros(t.size)
-    interior = ~boundary
+    interior = (t != 0.0) & (t != 1.0)
     if np.any(interior):
-        sub = SpatialGrid(t[interior], (0.0, 1.0))
-        cov = brownian_bridge_covariance(sub)
+        cov = brownian_bridge_covariance(t[interior])
         values[interior] = sample_gaussian_vector(cov, seed)
-    return PathSample(grid, values, process="bridge")
-
-
-def sample_brownian_bridge_from_motion(grid: SpatialGrid, seed: SeedSpec) -> PathSample:
-    """Bridge via the projection w(t) - t w(1) of a Brownian motion.
-
-    Cross-check construction for :func:`sample_brownian_bridge`, and the
-    O(n) workhorse for large Monte Carlo grids.  Exact in law.
-    """
-    t = grid.points
-    if t[0] < 0.0 or t[-1] > 1.0:
-        raise ValueError("bridge grid must lie in [0, 1]")
-    if t[-1] == 1.0:
-        motion = sample_brownian_motion(grid, seed)
-        w = motion.values
-        values = w - t * w[-1]
-    else:
-        aug = SpatialGrid(np.concatenate((t, [1.0])), (0.0, 1.0))
-        w = sample_brownian_motion(aug, seed).values
-        values = w[:-1] - t * w[-1]
-    return PathSample(grid, values, process="bridge")
+    return values
 
 
 def circulant_embedding_weights(cov_sequence: np.ndarray) -> np.ndarray:

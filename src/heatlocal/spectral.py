@@ -24,9 +24,9 @@ from scipy import special
 
 from .errors import SupportTooLong
 from .grids import SpatialGrid
+from .heat_model import SQRT_PI
 from .reports import SuiteReport, bound_report
 
-SQRT_PI = np.sqrt(np.pi)
 TWO_SQRT_PI = 2.0 * SQRT_PI
 
 # window pad and panel layout for the u-side quadrature; a pad of 10
@@ -82,31 +82,6 @@ class StepFunction:
         return out
 
 
-def fourier_sq_modulus(f: StepFunction, lam) -> np.ndarray:
-    """|f_hat(lambda)|^2 under the unitary transform convention.
-
-    Evaluated through the breakpoint jump representation
-    f_hat(lambda) = (2 pi)^{-1/2} sum_j b_j e^{-i lambda u_j} / (-i lambda);
-    the lambda -> 0 limit ((2 pi)^{-1/2} sum a_k du_k)^2 is substituted for
-    |lambda| below 1e-8 where the direct form cancels catastrophically.
-    """
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    b = -f.jumps  # coefficient of e^{-i lambda u_j} in the jump sum
-    u = f.breakpoints
-    out = np.empty(lam.shape)
-    small = np.abs(lam) < 1e-8
-    if np.any(~small):
-        lnz = lam[~small]
-        s = np.exp(-1j * np.outer(lnz, u)) @ b
-        out[~small] = (s.real**2 + s.imag**2) / (2.0 * np.pi * lnz**2)
-    if np.any(small):
-        area = float(np.sum(f.coefficients * np.diff(f.breakpoints)))
-        out[small] = area * area / (2.0 * np.pi)
-    return out[0] if scalar else out
-
-
 def _panel_nodes(lo: float, hi: float, panel: float, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     n_panels = max(1, int(np.ceil((hi - lo) / panel)))
@@ -122,13 +97,10 @@ def convolve_heat(f: StepFunction, u) -> np.ndarray:
     """(f * p_1)(u): sum of Gaussian-CDF differences over the pieces."""
     u = np.asarray(u, dtype=float)
     bps, cfs = f.breakpoints, f.coefficients
-    out = np.zeros(np.broadcast(u).shape if u.ndim else (1,))
-    uu = np.atleast_1d(u)
-    acc = np.zeros_like(uu)
+    acc = np.zeros_like(np.atleast_1d(u))
     for a, c, d in zip(cfs, bps[:-1], bps[1:]):
-        acc += a * (special.ndtr(uu - c) - special.ndtr(uu - d))
-    out = acc
-    return out.reshape(u.shape) if u.ndim else float(out[0])
+        acc += a * (special.ndtr(u - c) - special.ndtr(u - d))
+    return acc.reshape(u.shape) if u.ndim else float(acc[0])
 
 
 def smoothed_norm_sq(f: StepFunction) -> float:

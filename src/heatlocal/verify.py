@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .heat_model import (
     sheet_variance_bias,
 )
 from .local_time import (
+    bandwidth_floor,
     bridge_moment_exact,
     conditional_moment,
     expected_motion_local_time_in_window,
@@ -49,7 +50,6 @@ from .local_time import (
     levy_density_normalization,
     local_time_replicate,
     motion_endpoint_replicate,
-    path_values,
     second_moment_via_density,
 )
 from .mc import FAULT_INFLATE_Q, RunConfig, run_replicates
@@ -86,7 +86,7 @@ LONG_INTERVAL = (0.0, 5.0)
 
 
 def _check_long_floor(config: RunConfig) -> None:
-    floor = 4.0 * (LONG_INTERVAL[1] - LONG_INTERVAL[0]) / (config.grid_points - 1)
+    floor = bandwidth_floor(LONG_INTERVAL[1] - LONG_INTERVAL[0], config.grid_points)
     if min(config.epsilon_schedule) < floor:
         raise ConfigError(
             f"epsilon schedule minimum {min(config.epsilon_schedule)} below the "
@@ -125,17 +125,13 @@ def weighted_increment_square(
     return np.array([s * s])
 
 
-def path_replicate(seed: SeedSpec, process_tag: str, n: int, interval: tuple) -> np.ndarray:
-    """Raw path values on the uniform grid (MC task for `simulate`)."""
-    return path_values(process_tag, seed, n, interval)
-
-
 # ---------------------------------------------------------------------------
 # spectral block
 
 
 def spectral_reports(config: RunConfig) -> list[SuiteReport]:
     reports: list[SuiteReport] = []
+    t0 = time.perf_counter()
     rng = SeedSpec(derive_master(config.master_seed, "spectral-sweep")).rng()
     functions = [random_step_function(rng) for _ in range(_SWEEP_SIZE)]
     inflate = 1.25 if config.fault_injection == FAULT_INFLATE_Q else 1.0
@@ -154,7 +150,6 @@ def spectral_reports(config: RunConfig) -> list[SuiteReport]:
             conv[i] = ns * L / TWO_SQRT_PI - sm
         return upper, lower, conv
 
-    t0 = time.perf_counter()
     upper, lower, conv = sweeps()
     sweep_ms = (time.perf_counter() - t0) * 1e3
     reports.append(
@@ -463,6 +458,14 @@ def _moment_se(res, index: int) -> float:
 
 
 def localtime_reports(config: RunConfig) -> list[SuiteReport]:
+    """Local-time claims.
+
+    Each Monte Carlo family and each shared quadrature is computed on first
+    use, inside the first claim that reads it, and cached for the later
+    ones; so every claim's runtime includes the work it triggers.  Each
+    family draws from its own derived seed, so the order they run in does
+    not affect any value.
+    """
     reports: list[SuiteReport] = []
     sched = config.epsilon_schedule
     k = len(sched)
@@ -489,53 +492,59 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
             jobs=config.jobs,
         )
 
-    res_bridge = family_run("mc-bridge", "bridge", (0.0, 1.0))
-    res_heat_short = family_run("mc-heat-short", "heat", config.interval)
-    res_heat_long = family_run("mc-heat-long", "heat", long_interval)
-    extra_eps = max(5e-4, 4.0 / (config.grid_points - 1))
-    motion_task = partial(
-        motion_endpoint_replicate,
-        n=config.grid_points,
-        z=z,
-        schedule=sched,
-        extra_eps=extra_eps,
-    )
-    res_motion = run_replicates(
-        motion_task,
-        replicates=config.replicates,
-        master_seed=derive_master(config.master_seed, "mc-motion"),
-        jobs=config.jobs,
-        return_raw=True,
-    )
+    res_bridge = cache(partial(family_run, "mc-bridge", "bridge", (0.0, 1.0)))
+    res_heat_short = cache(partial(family_run, "mc-heat-short", "heat", config.interval))
+    res_heat_long = cache(partial(family_run, "mc-heat-long", "heat", long_interval))
+    extra_eps = max(5e-4, bandwidth_floor(1.0, config.grid_points))
 
-    exp_bridge = expected_smoothed_local_time("bridge", z, eps_star)
+    @cache
+    def res_motion():
+        motion_task = partial(
+            motion_endpoint_replicate,
+            n=config.grid_points,
+            z=z,
+            schedule=sched,
+            extra_eps=extra_eps,
+        )
+        return run_replicates(
+            motion_task,
+            replicates=config.replicates,
+            master_seed=derive_master(config.master_seed, "mc-motion"),
+            jobs=config.jobs,
+            return_raw=True,
+        )
+
+    exp_bridge = cache(partial(expected_smoothed_local_time, "bridge", z, eps_star))
 
     def mean_bridge():
+        res = res_bridge()
         return two_sided_report(
             "local-time-mean-bridge",
-            float(res_bridge.mean[k - 1]),
-            exp_bridge,
+            float(res.mean[k - 1]),
+            exp_bridge(),
             0.0,
-            standard_error=float(res_bridge.stderr[k - 1]),
+            standard_error=float(res.stderr[k - 1]),
             insufficient=insuff,
         )
 
     reports.append(_timed(mean_bridge))
 
     def mean_bridge_value():
-        factor = exact1 / exp_bridge
+        res = res_bridge()
+        factor = exact1 / exp_bridge()
         return two_sided_report(
             "bridge-mean-value",
-            float(res_bridge.mean[k - 1]) * factor,
+            float(res.mean[k - 1]) * factor,
             exact1,
             0.05 * exact1,
-            standard_error=float(res_bridge.stderr[k - 1]) * factor,
+            standard_error=float(res.stderr[k - 1]) * factor,
             insufficient=insuff,
         )
 
     reports.append(_timed(mean_bridge_value))
 
-    def mean_heat(tag: str, res, interval):
+    def mean_heat(tag: str, family, interval):
+        res = family()
         expected = expected_smoothed_local_time("heat", z, eps_star, interval)
         return two_sided_report(
             tag,
@@ -553,28 +562,28 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
         _timed(partial(mean_heat, "local-time-mean-heat-long", res_heat_long, (0.0, 5.0)))
     )
 
-    q2_star = second_moment_via_density("bridge", z, eps_star, eps_star)
-
     def second_moment():
+        res = res_bridge()
         return two_sided_report(
             "bridge-second-moment",
-            float(res_bridge.m2[k - 1]),
-            q2_star,
+            float(res.m2[k - 1]),
+            second_moment_via_density("bridge", z, eps_star, eps_star),
             0.0,
-            standard_error=_moment_se(res_bridge, k - 1),
+            standard_error=_moment_se(res, k - 1),
             insufficient=insuff,
         )
 
     reports.append(_timed(second_moment))
 
     def second_moment_value():
-        factor = (exact1 / exp_bridge) ** 2
+        res = res_bridge()
+        factor = (exact1 / exp_bridge()) ** 2
         return two_sided_report(
             "bridge-second-moment-value",
-            float(res_bridge.m2[k - 1]) * factor,
+            float(res.m2[k - 1]) * factor,
             bridge_moment_exact(2),
             0.10 * bridge_moment_exact(2),
-            standard_error=_moment_se(res_bridge, k - 1) * factor,
+            standard_error=_moment_se(res, k - 1) * factor,
             insufficient=insuff,
         )
 
@@ -592,7 +601,7 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     reports.append(_timed(second_moment_monotone))
 
     def endpoint_moments():
-        w1 = res_motion.raw[:, -1]
+        w1 = res_motion().raw[:, -1]
         n = w1.size
         m1 = float(np.mean(w1))
         m2 = float(np.mean(w1**2))
@@ -612,24 +621,26 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     reports.append(_timed(endpoint_moments))
 
     window = 0.1
-    exp_window = expected_motion_local_time_in_window(extra_eps, window)
+    exp_window = cache(partial(expected_motion_local_time_in_window, extra_eps, window))
+
+    def windowed_sample():
+        # V at extra_eps on the replicates whose endpoint lies in the window
+        raw = res_motion().raw
+        return raw[:, -2][np.abs(raw[:, -1]) < window]
 
     def conditional_mean():
-        w1 = res_motion.raw[:, -1]
-        v_extra = res_motion.raw[:, -2]
-        mask = np.abs(w1) < window
-        m = int(np.sum(mask))
+        sample = windowed_sample()
+        m = sample.size
         if m < 2:
             return two_sided_report(
-                "levy-conditional-mean", 0.0, exp_window, 0.0, insufficient=True
+                "levy-conditional-mean", 0.0, exp_window(), 0.0, insufficient=True
             )
-        sample = v_extra[mask]
         cmean = float(np.mean(sample))
         cse = float(np.std(sample, ddof=1) / np.sqrt(m))
         return two_sided_report(
             "levy-conditional-mean",
             cmean,
-            exp_window,
+            exp_window(),
             0.0,
             standard_error=cse,
             insufficient=insuff,
@@ -638,16 +649,13 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     reports.append(_timed(conditional_mean))
 
     def conditional_value():
-        w1 = res_motion.raw[:, -1]
-        v_extra = res_motion.raw[:, -2]
-        mask = np.abs(w1) < window
-        m = int(np.sum(mask))
+        sample = windowed_sample()
+        m = sample.size
         if m < 2:
             return two_sided_report(
                 "levy-conditional-value", 0.0, exact1, 0.05 * exact1, insufficient=True
             )
-        sample = v_extra[mask]
-        factor = exact1 / exp_window
+        factor = exact1 / exp_window()
         cmean = float(np.mean(sample)) * factor
         cse = float(np.std(sample, ddof=1) / np.sqrt(m)) * factor
         return two_sided_report(
@@ -661,8 +669,8 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
 
     reports.append(_timed(conditional_value))
 
-    def cauchy(tag: str, res):
-        gaps = [float(g) for g in res.mean[k:]]
+    def cauchy(tag: str, family):
+        gaps = [float(g) for g in family().mean[k:]]
         slack = [a - b for a, b in zip(gaps, gaps[1:])]
         return bound_report(tag, slack, 0.0, insufficient=insuff)
 

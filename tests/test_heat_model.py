@@ -7,6 +7,9 @@ from scipy import special
 from heatlocal.errors import CutoffTooCoarse
 from heatlocal.grids import SpatialGrid
 from heatlocal.heat_model import (
+    _SPATIAL_CUTOFF,
+    _TIME_CUTOFF,
+    SheetOperator,
     build_sheet_operator,
     covariance_R,
     covariance_R_quadrature,
@@ -14,11 +17,9 @@ from heatlocal.heat_model import (
     path_increment_replicate,
     sheet_increment_replicate,
     sheet_variance_bias,
-    simulate_solution_path,
-    simulate_solution_path_fft,
-    simulate_via_sheet,
 )
-from heatlocal.sampling import SeedSpec
+from heatlocal.local_time import heat_values
+from heatlocal.sampling import CovarianceMatrix, SeedSpec, sample_gaussian_vector
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -71,22 +72,21 @@ def test_increment_variance_positive_and_saturating():
 
 def test_cholesky_path_deterministic_and_shared_with_task():
     pts = np.array([0.5, 1.0, 1.5, 2.0])
-    grid = SpatialGrid(pts, (0.0, 2.0))
-    a = simulate_solution_path(grid, SeedSpec(21)).values
-    b = simulate_solution_path(grid, SeedSpec(21)).values
+    a = path_increment_replicate(SeedSpec(21), tuple(pts), (0.0, 2.0))
+    b = path_increment_replicate(SeedSpec(21), tuple(pts), (0.0, 2.0))
     assert np.array_equal(a, b)
-    c = path_increment_replicate(SeedSpec(21), tuple(pts), (0.0, 2.0))
+    # the task is one Gaussian draw from the increment covariance
+    cov = CovarianceMatrix(increment_covariance(pts[:, None], pts[None, :], 0.0))
+    c = sample_gaussian_vector(cov, SeedSpec(21))
     assert np.array_equal(a, c)
 
 
 def test_fft_route_matches_cholesky_route_in_variance():
-    grid = SpatialGrid.uniform(0.0, 2.0, 65)
+    pts = np.linspace(0.0, 2.0, 65)
     n = 3000
     idx = 48
-    vals = np.array(
-        [simulate_solution_path_fft(grid, SeedSpec(4, i)).values[idx] for i in range(n)]
-    )
-    target = float(increment_covariance(grid.points[idx], grid.points[idx], 0.0))
+    vals = np.array([heat_values(SeedSpec(4, i), 65, 0.0, 2.0)[idx] for i in range(n)])
+    target = float(increment_covariance(pts[idx], pts[idx], 0.0))
     se = target * np.sqrt(2.0 / n)
     assert abs(np.var(vals, ddof=1) - target) < 5 * se
 
@@ -115,20 +115,21 @@ def test_sheet_off_diagonal_covariance_close_to_R():
 def test_sheet_rejects_coarse_spatial_resolution():
     grid = SpatialGrid(np.array([0.5, 1.0]), (0.0, 1.0))
     with pytest.raises(CutoffTooCoarse):
-        build_sheet_operator(grid, sheet_resolution=(64, 512))
+        SheetOperator(grid, (64, 512), _SPATIAL_CUTOFF, _TIME_CUTOFF)
 
 
 def test_sheet_sample_deterministic_and_base_free():
-    grid = SpatialGrid(np.array([0.6, 1.2]), (0.0, 2.0))
-    s1 = simulate_via_sheet(grid, SeedSpec(77)).values
-    s2 = simulate_via_sheet(grid, SeedSpec(77)).values
+    s1 = sheet_increment_replicate(SeedSpec(77), (0.6, 1.2), (0.0, 2.0))
+    s2 = sheet_increment_replicate(SeedSpec(77), (0.6, 1.2), (0.0, 2.0))
     assert np.array_equal(s1, s2)
-    s3 = sheet_increment_replicate(SeedSpec(77), (0.6, 1.2), (0.0, 2.0))
-    assert np.array_equal(s1, s3)
+    # the operator evaluates the base first; the task differences it away
+    op = build_sheet_operator(SpatialGrid(np.array([0.6, 1.2]), (0.0, 2.0)))
+    field = op.sample_field(SeedSpec(77))
+    assert field.shape == (3,)
+    assert np.array_equal(s1, field[1:] - field[0])
 
 
 def test_sheet_increments_have_zero_at_base_grid():
-    pts = np.array([0.0, 0.8, 1.6])
-    grid = SpatialGrid(pts, (0.0, 2.0))
-    vals = simulate_via_sheet(grid, SeedSpec(13)).values
+    vals = sheet_increment_replicate(SeedSpec(13), (0.0, 0.8, 1.6), (0.0, 2.0))
+    assert vals.shape == (3,)
     assert vals[0] == 0.0

@@ -9,7 +9,6 @@ from heatlocal.errors import (
     UnknownProcess,
     UnsupportedOrder,
 )
-from heatlocal.grids import SpatialGrid
 from heatlocal.local_time import (
     bridge_moment_exact,
     bridge_values,
@@ -17,17 +16,15 @@ from heatlocal.local_time import (
     expected_cauchy_gap,
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
-    gaussian_kernel,
     heat_values,
     levy_density_normalization,
     levy_joint_density,
     local_time_replicate,
-    make_path,
     marginal_variance,
     motion_endpoint_replicate,
     motion_values,
+    path_values,
     second_moment_via_density,
-    smoothed_occupation,
 )
 from heatlocal.sampling import SeedSpec
 
@@ -134,20 +131,15 @@ def test_path_generators_pin_known_points():
     assert h[0] == 0.0
 
 
-def test_smoothed_occupation_requires_resolvable_bandwidth():
-    grid = SpatialGrid.uniform(0.0, 1.0, 64)
-    path = make_path("bridge", SeedSpec(5), grid)
-    with pytest.raises(BandwidthTooSmall):
-        smoothed_occupation(path, 0.0, 1e-4)
-    est = smoothed_occupation(path, 0.0, 0.08)
-    assert est.value > 0.0
-    assert est.epsilon == 0.08
-
-
-def test_gaussian_kernel_mass():
-    y = np.linspace(-6.0, 6.0, 4001)
-    dens = gaussian_kernel(0.04, y)
-    assert np.trapezoid(dens, y) == pytest.approx(1.0, abs=1e-6)
+def test_replicates_require_resolvable_bandwidth():
+    # 64 points on [0, 1] resolve bandwidths down to 4/63
+    with pytest.raises(BandwidthTooSmall, match="floor"):
+        local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (1e-4,))
+    with pytest.raises(BandwidthTooSmall, match="floor"):
+        motion_endpoint_replicate(SeedSpec(5), 64, 0.0, (0.08,), extra_eps=1e-4)
+    out = local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (0.08,))
+    assert out.shape == (1,)
+    assert out[0] > 0.0
 
 
 def test_replicate_layout_and_gap_consistency():
@@ -173,7 +165,6 @@ def test_window_mean_approaches_conditional_moment():
     assert tight == pytest.approx(conditional_moment(1), rel=2e-2)
 
 
-def test_make_path_unknown_process():
-    grid = SpatialGrid.uniform(0.0, 1.0, 16)
+def test_path_values_unknown_process():
     with pytest.raises(UnknownProcess):
-        make_path("levy", SeedSpec(0), grid)
+        path_values("levy", SeedSpec(0), 16, (0.0, 1.0))

@@ -7,27 +7,28 @@ import pickle
 import numpy as np
 import pytest
 
+from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.mc import (
-    AggregateTable,
     MCResult,
     RunConfig,
     config_dict,
     default_config,
     run_replicates,
-    table_from_csv,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
 )
 from heatlocal.reports import (
+    AggregateTable,
     SuiteReport,
     bound_report,
     reports_from_csv,
     reports_from_json,
     reports_to_csv,
     reports_to_json,
+    table_from_csv,
+    table_from_json,
+    table_to_csv,
+    table_to_json,
     two_sided_report,
 )
 from heatlocal.verify import derive_master
@@ -184,6 +185,101 @@ def test_table_roundtrips_preserve_none_cells():
     assert back == table
 
 
+GOLDEN_TABLE_CSV = """\
+eps,eps_pair_low,mean
+0.080000000000000002,,1.5
+0.040000000000000001,0.02,0.30000000000000004
+"""
+
+GOLDEN_TABLE_JSON = """\
+{
+  "config": {
+    "k": 1
+  },
+  "aggregate": {
+    "columns": [
+      "eps",
+      "eps_pair_low",
+      "mean"
+    ],
+    "rows": [
+      [
+        "0.080000000000000002",
+        null,
+        "1.5"
+      ],
+      [
+        "0.040000000000000001",
+        "0.02",
+        "0.30000000000000004"
+      ]
+    ]
+  },
+  "version": "v"
+}
+"""
+
+GOLDEN_REPORTS_CSV = """\
+claim_id,status,observed,expected,tolerance,standard_error,runtime_ms
+claim-a,pass,0.33333333333333331,0.25,0.10000000000000001,0.01,2.5
+claim-b,fail,-9.9999999999999998e-13|2,0|0,1.0000000000000001e-09,,0
+"""
+
+GOLDEN_REPORTS_JSON = """\
+{
+  "config": {
+    "command": "verify"
+  },
+  "reports": [
+    {
+      "claim_id": "claim-a",
+      "status": "pass",
+      "observed": [
+        "0.33333333333333331"
+      ],
+      "expected": [
+        "0.25"
+      ],
+      "tolerance": "0.10000000000000001",
+      "standard_error": "0.01",
+      "runtime_ms": "2.5"
+    },
+    {
+      "claim_id": "claim-b",
+      "status": "fail",
+      "observed": [
+        "-9.9999999999999998e-13",
+        "2"
+      ],
+      "expected": [
+        "0",
+        "0"
+      ],
+      "tolerance": "1.0000000000000001e-09",
+      "standard_error": null,
+      "runtime_ms": "0"
+    }
+  ],
+  "version": "9.9.9"
+}
+"""
+
+
+def test_codecs_emit_golden_bytes():
+    # pins the emitted byte format, not just the round trip
+    table = AggregateTable(
+        ("eps", "eps_pair_low", "mean"), ((0.08, None, 1.5), (0.04, 0.02, 0.1 + 0.2))
+    )
+    reports = [
+        SuiteReport("claim-a", "pass", (1.0 / 3.0,), (0.25,), 0.1, 0.01, 2.5),
+        SuiteReport("claim-b", "fail", (-1e-12, 2.0), (0.0, 0.0), 1e-9),
+    ]
+    assert table_to_csv(table) == GOLDEN_TABLE_CSV
+    assert table_to_json(table, {"k": 1}, "v") == GOLDEN_TABLE_JSON
+    assert reports_to_csv(reports) == GOLDEN_REPORTS_CSV
+    assert reports_to_json(reports, {"command": "verify"}, "9.9.9") == GOLDEN_REPORTS_JSON
+
+
 def test_report_status_logic():
     assert two_sided_report("x", 1.0, 1.05, 0.1).status == "pass"
     assert two_sided_report("x", 1.0, 1.5, 0.1).status == "fail"
@@ -228,6 +324,37 @@ def test_cli_writes_json_file(tmp_path):
     assert len(reports) == 5
     assert cfg["command"] == "gram"
     assert version
+
+
+def test_cli_out_into_missing_directory_exits_two_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+
+    def block(config):
+        calls.append(config)
+        raise AssertionError("the block must not run")
+
+    monkeypatch.setitem(cli._REPORT_COMMANDS, "gram", block)
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert calls == []
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "output error" in err
+    assert not out.parent.exists()
+
+
+def test_cli_unwritable_out_exits_two(tmp_path, capsys):
+    # the directory exists, but the path itself is a directory: open fails
+    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("output error")
 
 
 def test_cli_simulate_table(capsys):

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from heatlocal.grids import SpatialGrid
+from heatlocal.local_time import bridge_values, motion_values
 from heatlocal.sampling import (
     JITTER_CAP,
     CovarianceMatrix,
     SeedSpec,
     brownian_bridge_covariance,
-    brownian_motion_covariance,
     circulant_embedding_weights,
     jittered_cholesky,
     sample_brownian_bridge,
-    sample_brownian_bridge_from_motion,
-    sample_brownian_motion,
     sample_gaussian_vector,
     sample_stationary_values,
 )
@@ -72,44 +69,41 @@ def test_gaussian_vector_determinism():
 
 
 def test_motion_starts_at_zero_and_matches_covariance():
-    grid = SpatialGrid.uniform(0.0, 1.0, 9)
-    path = sample_brownian_motion(grid, SeedSpec(11))
-    assert path.values[0] == 0.0
-    cov = brownian_motion_covariance(grid).entries
-    assert np.allclose(np.diag(cov), grid.points)
+    assert motion_values(SeedSpec(11), 9)[0] == 0.0
+    # empirical covariance of w on the grid against min(s, t)
+    n = 4000
+    t = np.linspace(0.0, 1.0, 9)
+    w = np.array([motion_values(SeedSpec(11, i), 9) for i in range(n)])
+    emp = w.T @ w / n
+    assert np.max(np.abs(emp - np.minimum.outer(t, t))) < 6.0 * np.sqrt(2.0 / n)
 
 
 def test_bridge_endpoints_exactly_zero():
-    grid = SpatialGrid.uniform(0.0, 1.0, 17)
-    for sampler in (sample_brownian_bridge, sample_brownian_bridge_from_motion):
-        path = sampler(grid, SeedSpec(3))
-        assert path.values[0] == 0.0
-        assert path.values[-1] == 0.0
+    t = np.linspace(0.0, 1.0, 17)
+    for path in (sample_brownian_bridge(t, SeedSpec(3)), bridge_values(SeedSpec(3), 17)):
+        assert path[0] == 0.0
+        assert path[-1] == 0.0
 
 
 def test_bridge_covariance_matches_formula():
-    grid = SpatialGrid(np.array([0.25, 0.5, 0.75]), (0.0, 1.0))
-    c = brownian_bridge_covariance(grid).entries
+    c = brownian_bridge_covariance(np.array([0.25, 0.5, 0.75])).entries
     assert c[0, 2] == pytest.approx(0.25 * 0.25)
     assert c[1, 1] == pytest.approx(0.25)
+    with pytest.raises(ValueError):
+        brownian_bridge_covariance(np.array([0.5, 1.5]))
 
 
 def test_bridge_sampler_routes_agree_in_moments():
-    # two exact-in-law constructions; compare the variance at mid-span
-    grid = SpatialGrid.uniform(0.0, 1.0, 33)
+    # the covariance route is the reference for the O(n) projection route
+    # bridge_values; compare the variance at mid-span
+    t = np.linspace(0.0, 1.0, 33)
     n = 4000
     mid = 16
-    a = np.array(
-        [sample_brownian_bridge(grid, SeedSpec(1, i)).values[mid] for i in range(n)]
-    )
-    b = np.array(
-        [
-            sample_brownian_bridge_from_motion(grid, SeedSpec(2, i)).values[mid]
-            for i in range(n)
-        ]
-    )
+    a = np.array([sample_brownian_bridge(t, SeedSpec(1, i))[mid] for i in range(n)])
+    b = np.array([bridge_values(SeedSpec(2, i), 33)[mid] for i in range(n)])
     se = np.sqrt(np.var(a) / n + np.var(b) / n)
     assert abs(np.var(a, ddof=1) - 0.25) < 6 * np.sqrt(2.0 / n) * 0.25
+    assert abs(np.var(b, ddof=1) - 0.25) < 6 * np.sqrt(2.0 / n) * 0.25
     assert abs(np.mean(a) - np.mean(b)) < 5 * se
 
 

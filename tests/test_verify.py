@@ -1,5 +1,7 @@
 """End-to-end checks of the claim suite at reduced replicate counts."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,16 @@ DETERMINISTIC_CLAIMS = frozenset(
 
 
 @pytest.fixture(scope="module")
-def small_suite():
+def timed_small_suite():
     cfg = default_config(replicates=400, grid_points=4096, master_seed=42)
-    return verify_all(cfg)
+    t0 = time.perf_counter()
+    reports = verify_all(cfg)
+    return reports, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def small_suite(timed_small_suite):
+    return timed_small_suite[0]
 
 
 def test_claim_ids_and_order(small_suite):
@@ -97,6 +106,13 @@ def test_small_scale_suite_all_pass(small_suite):
 def test_reports_carry_runtimes(small_suite):
     assert all(r.runtime_ms >= 0.0 for r in small_suite)
     assert any(r.runtime_ms > 0.0 for r in small_suite)
+
+
+def test_runtimes_account_for_the_wall_time(timed_small_suite):
+    # every Monte Carlo family and quadrature runs inside some claim's timer
+    reports, wall_s = timed_small_suite
+    attributed_s = sum(r.runtime_ms for r in reports) / 1e3
+    assert attributed_s >= 0.9 * wall_s
 
 
 def test_failed_reports_are_out_of_tolerance(small_suite):
