@@ -194,6 +194,22 @@ def _emit(text: str, config: RunConfig) -> None:
             fh.write(text)
 
 
+def _out_problem(path: str | None) -> str | None:
+    """Why ``--out`` cannot be written, checked before any work; None if it can."""
+    if path is None:
+        return None
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        return f"no directory {out_dir} for --out"
+    if os.path.isdir(path):
+        return f"--out {path} is a directory"
+    # an existing file is overwritten in place; a new one needs the directory
+    target = path if os.path.exists(path) else out_dir
+    if not os.access(target, os.W_OK):
+        return f"{target} is not writable for --out"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -202,11 +218,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if config.output_path is not None:
-        out_dir = os.path.dirname(os.path.abspath(config.output_path))
-        if not os.path.isdir(out_dir):
-            print(f"output error: no directory {out_dir} for --out", file=sys.stderr)
-            return 2
+    problem = _out_problem(config.output_path)
+    if problem is not None:
+        print(f"output error: {problem}", file=sys.stderr)
+        return 2
 
     reports = []
     try:

@@ -8,10 +8,12 @@ with covariance
 obtained by integrating the squared heat kernel over the driving time.  The
 objects of interest are increments of that field relative to the left
 endpoint of an interval.  Two independent Monte Carlo tasks sample them at
-a few points, one through the Cholesky factor of the increment covariance
-and one through a discretised driving sheet; the circulant-embedding
-weights behind the uniform-grid sampler ``local_time.heat_values`` live
-here too.
+a few points.  The Cholesky route factors the increment covariance built
+from R.  The sheet route never uses R: it discretises the driving sheet,
+sums the heat-kernel Riemann sums into the exact covariance K K^T of the
+discretised field, and samples that law through its Cholesky factor.  The
+circulant-embedding weights behind the uniform-grid sampler
+``local_time.heat_values`` live here too.
 """
 
 from __future__ import annotations
@@ -120,17 +122,20 @@ def _embedding_weights(n: int, spacing: float) -> np.ndarray:
 
 
 class SheetOperator:
-    """Linear map from iid cell noise to field values on a grid.
+    """Exact-law sampler of the discretised driving-sheet field.
 
     Discretises the driving space-time white noise into rectangular cells
     (time rows refined toward the observation time by a square-root
-    substitution) and precomputes the kernel weights
+    substitution) with the kernel weights
 
         K[g, cell] = p_{1-s}(u_g - v) sqrt(dv ds).
 
-    The simulated field is K z for z standard normal, so its covariance is
-    exactly K K^T: the Riemann-sum approximation of the field covariance
-    truncated delta short of the observation time.
+    The discretised field K z, z standard normal, is Gaussian with
+    covariance G = K K^T: the Riemann-sum approximation of the field
+    covariance truncated delta short of the observation time.  Only G is
+    kept, accumulated one time row at a time, and a replicate is L z for
+    the Cholesky factor L of G and one normal per evaluation point.  K
+    itself is never stored.
     """
 
     def __init__(
@@ -173,22 +178,23 @@ class SheetOperator:
                 f"spatial cell {dv:.4g} too wide for kernel width {min_width:.4g}"
             )
 
-        K = np.empty((eval_pts.size, n_time * n_space))
-        for j, (t, w) in enumerate(zip(t_mid, ds)):
-            block = heat_kernel(t, eval_pts[:, None] - v_mid[None, :])
-            K[:, j * n_space : (j + 1) * n_space] = block * np.sqrt(dv * w)
-        self._K = K
-        self.n_cells = K.shape[1]
+        # G = K K^T, one time row of K at a time; einsum rather than BLAS
+        # keeps G bit-identical whatever the process's BLAS thread count
+        gram = np.zeros((eval_pts.size, eval_pts.size))
+        for t, w in zip(t_mid, ds):
+            block = heat_kernel(t, eval_pts[:, None] - v_mid[None, :]) * np.sqrt(dv * w)
+            gram += np.einsum("ik,jk->ij", block, block)
+        self.gram = gram
+        self.factor, self.jitter = jittered_cholesky(gram)
 
     def sample_field(self, seed: SeedSpec) -> np.ndarray:
         """Undifferenced field values at the evaluation points (base first)."""
-        z = seed.rng().standard_normal(self.n_cells)
-        # einsum keeps the reduction single-threaded and bit-reproducible
-        return np.einsum("ij,j->i", self._K, z)
+        z = seed.rng().standard_normal(self.factor.shape[0])
+        return np.einsum("ij,j->i", self.factor, z)
 
     def field_variance(self) -> np.ndarray:
-        """Exact per-point variance of the discretised field (rows of K K^T)."""
-        return np.einsum("ij,ij->i", self._K, self._K)
+        """Exact per-point variance of the discretised field (diagonal of G)."""
+        return np.diag(self.gram)
 
 
 @lru_cache(maxsize=8)

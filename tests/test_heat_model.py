@@ -20,6 +20,7 @@ from heatlocal.heat_model import (
 )
 from heatlocal.local_time import heat_values
 from heatlocal.sampling import CovarianceMatrix, SeedSpec, sample_gaussian_vector
+from heatlocal.verify import _AGREE_POINTS
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -101,8 +102,8 @@ def test_sheet_field_variance_deficit_equals_tail_bias():
 def test_sheet_off_diagonal_covariance_close_to_R():
     grid = SpatialGrid(np.array([0.4, 0.7, 1.0]), (0.0, 1.0))
     op = build_sheet_operator(grid)
-    K = op._K
-    cov = K @ K.T
+    # G = K K^T is the exact covariance of the discretised field
+    cov = op.gram
     # eval points are base + grid; field covariance approximates R(u - v)
     pts = np.concatenate(([0.0], grid.points))
     for i in range(4):
@@ -110,6 +111,24 @@ def test_sheet_off_diagonal_covariance_close_to_R():
             assert cov[i, j] == pytest.approx(
                 float(covariance_R(pts[i] - pts[j])), abs=1e-4
             )
+
+
+def test_sheet_increment_covariance_matches_R_for_all_pairs():
+    # deterministic: the differenced K K^T against the closed form of R,
+    # less the cutoff bias on each lag-0 term (twice on the diagonal)
+    pts = np.array(_AGREE_POINTS)
+    op = build_sheet_operator(SpatialGrid(pts, (0.0, 2.0)))
+    G = op.gram
+    diff = G[1:, 1:] - G[1:, :1] - G[:1, 1:] + G[0, 0]
+    bias = sheet_variance_bias(op.delta)
+    expected = increment_covariance(pts[:, None], pts[None, :], 0.0) - bias * (
+        1.0 + np.eye(pts.size)
+    )
+    iu = np.triu_indices(pts.size)
+    assert np.max(np.abs(diff - expected)[iu]) < 1e-5
+    # G is well conditioned on these points: the factor needed no jitter
+    assert op.jitter == 0.0
+    assert np.allclose(op.factor @ op.factor.T, G, rtol=0.0, atol=1e-15)
 
 
 def test_sheet_rejects_coarse_spatial_resolution():
@@ -127,6 +146,9 @@ def test_sheet_sample_deterministic_and_base_free():
     field = op.sample_field(SeedSpec(77))
     assert field.shape == (3,)
     assert np.array_equal(s1, field[1:] - field[0])
+    # one normal per evaluation point, taken from the head of the stream
+    z = SeedSpec(77).rng().standard_normal(3)
+    assert np.array_equal(field, np.einsum("ij,j->i", op.factor, z))
 
 
 def test_sheet_increments_have_zero_at_base_grid():

@@ -3,6 +3,7 @@
 import csv
 import io
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
+from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
 from heatlocal.mc import (
+    CHUNK,
     MCResult,
     RunConfig,
     config_dict,
@@ -68,6 +71,17 @@ def test_results_identical_across_worker_counts():
         assert np.array_equal(getattr(serial, field), getattr(parallel, field))
 
 
+@pytest.mark.parametrize("replicates", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
+@pytest.mark.parametrize("route", (path_increment_replicate, sheet_increment_replicate))
+def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):
+    task = partial(route, points=(0.6, 0.9, 1.2, 1.5, 1.8, 2.0), interval=(0.0, 2.0))
+    kwargs = dict(replicates=replicates, master_seed=29, return_raw=True)
+    serial = run_replicates(task, jobs=1, **kwargs)
+    parallel = run_replicates(task, jobs=2, **kwargs)
+    assert serial.raw.shape == (replicates, 6)
+    assert serial.raw.tobytes() == parallel.raw.tobytes()
+
+
 def test_raw_collection_matches_stream():
     res = run_replicates(echo_seed_task, replicates=50, master_seed=5, return_raw=True)
     from heatlocal.sampling import SeedSpec
@@ -91,8 +105,6 @@ def test_replicate_failure_crosses_process_boundary():
 
 
 def test_bridge_mean_task_matches_quadrature_small_scale():
-    from functools import partial
-
     from heatlocal.local_time import expected_smoothed_local_time, local_time_replicate
 
     task = partial(
@@ -326,9 +338,7 @@ def test_cli_writes_json_file(tmp_path):
     assert version
 
 
-def test_cli_out_into_missing_directory_exits_two_before_any_work(
-    tmp_path, monkeypatch, capsys
-):
+def _forbid_gram_block(monkeypatch) -> list:
     calls = []
 
     def block(config):
@@ -336,25 +346,49 @@ def test_cli_out_into_missing_directory_exits_two_before_any_work(
         raise AssertionError("the block must not run")
 
     monkeypatch.setitem(cli._REPORT_COMMANDS, "gram", block)
-    out = tmp_path / "missing" / "x.csv"
-    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert calls == []
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-    assert "output error" in err
-    assert not out.parent.exists()
+    return calls
 
 
-def test_cli_unwritable_out_exits_two(tmp_path, capsys):
-    # the directory exists, but the path itself is a directory: open fails
-    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(tmp_path)])
+def _assert_one_line_output_error(capsys) -> None:
     err = capsys.readouterr().err
-    assert rc == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("output error")
+
+
+def test_cli_out_into_missing_directory_exits_two_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    calls = _forbid_gram_block(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    _assert_one_line_output_error(capsys)
+    assert not out.parent.exists()
+
+
+def test_cli_unwritable_out_exits_two(tmp_path, monkeypatch, capsys):
+    # the directory exists, but the path itself is a directory
+    calls = _forbid_gram_block(monkeypatch)
+    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(tmp_path)])
+    assert rc == 2
+    assert calls == []
+    _assert_one_line_output_error(capsys)
+
+
+def test_cli_out_in_unwritable_directory_exits_two_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    calls = _forbid_gram_block(monkeypatch)
+    # permission bits do not bind every user, so deny access directly
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "x.csv"
+    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    _assert_one_line_output_error(capsys)
+    assert not out.exists()
 
 
 def test_cli_simulate_table(capsys):

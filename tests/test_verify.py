@@ -5,7 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from heatlocal import heat_model, verify
 from heatlocal.errors import ConfigError
+from heatlocal.grids import SpatialGrid
+from heatlocal.heat_model import build_sheet_operator, sheet_variance_bias
 from heatlocal.mc import FAULT_INFLATE_Q, default_config
 from heatlocal.verify import (
     covariance_reports,
@@ -151,6 +154,29 @@ def test_fault_injection_flips_only_the_integrator_claim():
     assert set(by_id.values()) == {"pass"}
     assert exit_code(reports) == 1
     assert first_failure(reports) == "integrator-upper-bound-sweep"
+
+
+def _failing_covariance_claims() -> set:
+    cfg = default_config(replicates=4000, grid_points=4096, master_seed=42)
+    reports = covariance_reports(cfg)
+    assert [r.claim_id for r in reports] == list(CLAIM_ORDER[17:20])
+    return {r.claim_id for r in reports if r.status != "pass"}
+
+
+def test_doubled_sheet_bias_flips_only_the_bias_claim(monkeypatch):
+    monkeypatch.setattr(verify, "sheet_variance_bias", lambda d: 2.0 * sheet_variance_bias(d))
+    assert _failing_covariance_claims() == {"sheet-variance-bias"}
+
+
+def test_inflated_sheet_factor_flips_only_the_agreement_claim(monkeypatch):
+    def inflated(points, interval):
+        # a fresh operator, so the per-process cache is never corrupted
+        op = build_sheet_operator(SpatialGrid(np.array(points), interval))
+        op.factor = 1.2 * op.factor
+        return op
+
+    monkeypatch.setattr(heat_model, "_sheet_operator_cached", inflated)
+    assert _failing_covariance_claims() == {"simulator-agreement"}
 
 
 def test_subcommand_blocks_partition_the_suite():
