@@ -34,13 +34,12 @@ from .errors import (
     OrderViolation,
     ReplicateFailure,
     SingularCovariance,
-    SupportTooLong,
     UnknownProcess,
     UnsupportedOrder,
 )
 from .grids import SpatialGrid
 from .sampling import SeedSpec
-from .mc import MCResult, RunConfig, default_config, run_replicates
+from .mc import MCResult, RunConfig, run_replicates
 from .reports import SuiteReport
 from .verify import verify_all
 
@@ -59,7 +58,6 @@ __all__ = [
     "OrderViolation",
     "ReplicateFailure",
     "SingularCovariance",
-    "SupportTooLong",
     "UnknownProcess",
     "UnsupportedOrder",
     "SpatialGrid",
@@ -67,7 +65,6 @@ __all__ = [
     "MCResult",
     "RunConfig",
     "SuiteReport",
-    "default_config",
     "run_replicates",
     "verify_all",
 ]

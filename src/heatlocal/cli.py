@@ -20,15 +20,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
-from .local_time import _process_interval, local_time_replicate, path_values
-from .mc import (
-    DEFAULT_EPSILON_SCHEDULE,
-    FAULT_MODES,
-    PROCESSES,
-    RunConfig,
-    config_dict,
-    run_replicates,
-)
+from .local_time import local_time_replicate, path_values, process_interval
+from .mc import DEFAULT_EPSILON_SCHEDULE, PROCESSES, RunConfig, config_dict, run_replicates
 from .reports import (
     FAIL,
     AggregateTable,
@@ -76,12 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1, help="worker processes")
     common.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--z", type=float, default=0.0, help="local-time level")
+    common.add_argument("--z", type=float, default=0.0, help="local-time level (verify needs 0)")
     common.add_argument("--process", choices=PROCESSES, default="heat")
-    common.add_argument(
-        "--fault-injection", choices=FAULT_MODES, default=None,
-        help="corrupt one quantity so its claim must fail (suite self-test)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="heatlocal",
@@ -111,18 +100,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         output_format=args.format,
         z=args.z,
         process=args.process,
-        fault_injection=args.fault_injection,
     )
 
 
-def _cli_interval(config: RunConfig) -> tuple[float, float]:
-    # bridge and motion ignore --interval: they are pinned to the unit span
-    explicit = config.interval if config.process == "heat" else None
-    return _process_interval(config.process, explicit)
-
-
 def _simulate_table(config: RunConfig) -> AggregateTable:
-    interval = _cli_interval(config)
+    interval = process_interval(config.process, config.interval)
     task = partial(path_values, config.process, n=config.grid_points, interval=interval)
     res = run_replicates(task, config)
     points = np.linspace(interval[0], interval[1], config.grid_points)
@@ -141,7 +123,7 @@ def _simulate_table(config: RunConfig) -> AggregateTable:
 
 
 def _localtime_table(config: RunConfig) -> AggregateTable:
-    interval = _cli_interval(config)
+    interval = process_interval(config.process, config.interval)
     sched = config.epsilon_schedule
     task = partial(
         local_time_replicate,

@@ -21,10 +21,6 @@ class CutoffTooCoarse(HeatLocalError):
     """Sheet discretisation cutoffs produce bias above the requested tolerance."""
 
 
-class SupportTooLong(HeatLocalError):
-    """Step-function support too long for the coercivity bound to apply."""
-
-
 class OrderViolation(HeatLocalError):
     """Indicator time points not strictly increasing above the base point."""
 

@@ -155,26 +155,6 @@ def projection_identity_values(
     return lhs, rhs
 
 
-def check_projection_identity(
-    g_family: VectorFamily, basis: VectorFamily, runtime_ms: float = 0.0
-) -> SuiteReport:
-    """Gram determinant of projected vectors vs the extended family.
-
-    G((I - P) g_1, ..., (I - P) g_k) must equal G(g_1, ..., g_k, e_1, ...,
-    e_n) for P the orthogonal projection onto the span of the orthonormal
-    e's.  Checked to 1e-8 relative.
-    """
-    lhs, rhs = projection_identity_values(g_family, basis)
-    scale = max(abs(lhs), abs(rhs), 1e-12)
-    return two_sided_report(
-        "gram-projection-identity",
-        lhs,
-        rhs,
-        tolerance=1e-8 * scale,
-        runtime_ms=runtime_ms,
-    )
-
-
 def invertible_gram_values(matrix: np.ndarray, family: VectorFamily) -> tuple[float, float]:
     """Transformed Gram determinant and its invertibility floor.
 
@@ -305,9 +285,7 @@ def _sorted_gap_integrand(a: float, s1: float):
     return h
 
 
-def check_simplex_partition(
-    a: float = 0.0, b: float = 1.0, s1: float = 0.4, runtime_ms: float = 0.0
-) -> SuiteReport:
+def check_simplex_partition(a: float = 0.0, b: float = 1.0, s1: float = 0.4) -> SuiteReport:
     """Partition additivity of the ordered-time integral at one split point.
 
     The two ordered times either both precede s1, straddle it, or both
@@ -358,5 +336,4 @@ def check_simplex_partition(
         blocks,
         whole,
         tolerance=1e-5 * abs(whole),
-        runtime_ms=runtime_ms,
     )

@@ -18,7 +18,7 @@ circulant-embedding weights behind the uniform-grid sampler
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import special
@@ -46,6 +46,7 @@ __all__ = [
     "build_sheet_operator",
     "sheet_variance_bias",
     "path_increment_replicate",
+    "weighted_increment_square",
     "sheet_increment_replicate",
 ]
 
@@ -69,7 +70,16 @@ def covariance_R(d) -> np.ndarray:
     return np.exp(-d * d / 4.0) / SQRT_PI - (d / 2.0) * special.erfc(d / 2.0)
 
 
-def covariance_R_quadrature(d: float, n_time: int = 240, n_space: int = 96) -> float:
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    Each rule is an eigen-solve, so it is built on first use, not at import.
+    """
+    return np.polynomial.legendre.leggauss(order)
+
+
+def covariance_R_quadrature(d: float) -> float:
     """Brute-force oracle for :func:`covariance_R`.
 
     Integrates p_{1-s}(u-v) p_{1-s}(u'-v) over v and s directly, with the
@@ -77,10 +87,10 @@ def covariance_R_quadrature(d: float, n_time: int = 240, n_space: int = 96) -> f
     that tracks the kernel-product width 12 sqrt(t/2) around its centre.
     """
     d = float(abs(d))
-    xt, wt = np.polynomial.legendre.leggauss(n_time)
+    xt, wt = _gauss_legendre(240)
     tau = 0.5 * (xt + 1.0)
     wtau = 0.5 * wt
-    xv, wv = np.polynomial.legendre.leggauss(n_space)
+    xv, wv = _gauss_legendre(96)
     total = 0.0
     for t_, w_ in zip(tau, wtau):
         t = t_ * t_
@@ -216,6 +226,21 @@ def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> 
     L = _increment_cholesky(tuple(points), tuple(interval))
     z = seed.rng().standard_normal(L.shape[0])
     return L @ z
+
+
+def weighted_increment_square(
+    seed: SeedSpec, points: tuple, coeffs: tuple, interval: tuple
+) -> np.ndarray:
+    """Squared weighted increment sum of one field path (MC task).
+
+    ``points`` are the step-function breakpoints above the interval base;
+    the increment over the leading cell uses the exact zero at the base.
+    The mean of this statistic is the quadratic form of the step function.
+    """
+    vals = path_increment_replicate(seed, points, interval)
+    x = np.concatenate(([0.0], vals))
+    s = float(np.dot(coeffs, np.diff(x)))
+    return np.array([s * s])
 
 
 def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:

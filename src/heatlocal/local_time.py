@@ -65,10 +65,15 @@ def pair_covariance(process_tag: str, s, t, interval: tuple[float, float]) -> fl
     raise UnknownProcess(f"unknown process tag {process_tag!r}")
 
 
-def _process_interval(process_tag: str, interval: tuple[float, float] | None) -> tuple[float, float]:
+def process_interval(
+    process_tag: str, interval: tuple[float, float] | None = None
+) -> tuple[float, float]:
+    """The parameter interval a process runs on.
+
+    Bridge and motion always run on [0, 1] and ignore ``interval``; the
+    heat process needs an explicit one.
+    """
     if process_tag in ("bridge", "motion"):
-        if interval is not None and tuple(interval) != (0.0, 1.0):
-            raise ValueError(f"{process_tag} runs on [0, 1]")
         return (0.0, 1.0)
     if process_tag == "heat":
         if interval is None:
@@ -90,7 +95,7 @@ def expected_smoothed_local_time(
     """
     if eps < 0.0:
         raise ValueError("bandwidth must be nonnegative")
-    lo, hi = _process_interval(process_tag, interval)
+    lo, hi = process_interval(process_tag, interval)
 
     def integrand(s: float) -> float:
         v = float(marginal_variance(process_tag, s, (lo, hi))) + eps
@@ -163,7 +168,7 @@ def second_moment_via_density(
     plus diag(eps1, eps2).  SingularCovariance is raised if the
     determinant degenerates below 1e-14 anywhere the rule evaluates.
     """
-    lo, hi = _process_interval(process_tag, interval)
+    lo, hi = process_interval(process_tag, interval)
 
     def density(v1: float, v2: float) -> float:
         s11 = float(marginal_variance(process_tag, v1, (lo, hi))) + eps1
@@ -319,24 +324,18 @@ def local_time_replicate(
 
 
 def motion_endpoint_replicate(
-    seed: SeedSpec,
-    n: int,
-    z: float,
-    schedule: tuple[float, ...],
-    extra_eps: float,
+    seed: SeedSpec, n: int, z: float, extra_eps: float
 ) -> np.ndarray:
     """Motion replicate carrying the endpoint for conditional statistics.
 
-    Returns (V_eps over schedule, squared gaps, V at extra_eps, w(1)).
+    Returns (V at extra_eps, w(1)).
     """
     floor = bandwidth_floor(1.0, n)
-    if min(min(schedule), extra_eps) < floor:
+    if extra_eps < floor:
         raise BandwidthTooSmall(
-            f"bandwidth below resolution floor {floor:.3e} for {n} grid points"
+            f"bandwidth {extra_eps:.3e} below resolution floor {floor:.3e} for {n} grid points"
         )
     vals = motion_values(seed, n)
     trap_w = _trapezoid_weights(0.0, 1.0, n)
-    v = smoothed_values(vals, trap_w, z, schedule)
-    gaps = np.diff(v) ** 2
     v_extra = smoothed_values(vals, trap_w, z, (extra_eps,))
-    return np.concatenate([v, gaps, v_extra, [vals[-1]]])
+    return np.concatenate([v_extra, [vals[-1]]])

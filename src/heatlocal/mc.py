@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ReplicateFailure
-from .local_time import bandwidth_floor
+from .local_time import bandwidth_floor, process_interval
 from .sampling import _UINT64_MAX, SeedSpec
 
 COMMANDS = ("simulate", "localtime", "moments", "spectral", "gram", "verify")
 OUTPUT_FORMATS = ("csv", "json")
 PROCESSES = ("heat", "bridge", "motion")
-
-# negative-control hooks; each one corrupts exactly one quantity so a
-# specific report must flip to fail
-FAULT_INFLATE_Q = "inflate-quadratic-form"
-FAULT_MODES = (FAULT_INFLATE_Q,)
 
 DEFAULT_EPSILON_SCHEDULE = (0.08, 0.04, 0.02, 0.01, 0.005)
 
@@ -50,7 +45,6 @@ class RunConfig:
     output_format: str = "csv"
     z: float = 0.0
     process: str = "heat"
-    fault_injection: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "interval", tuple(float(v) for v in self.interval))
@@ -63,8 +57,6 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.process not in PROCESSES:
             raise ConfigError(f"unknown process {self.process!r}")
-        if self.fault_injection is not None and self.fault_injection not in FAULT_MODES:
-            raise ConfigError(f"unknown fault injection {self.fault_injection!r}")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             raise ConfigError(f"empty interval {self.interval}")
         if self.grid_points < 2:
@@ -91,9 +83,8 @@ class RunConfig:
     @property
     def span(self) -> float:
         """Length of the path parameter domain for the selected process."""
-        if self.process == "heat":
-            return self.interval[1] - self.interval[0]
-        return 1.0
+        lo, hi = process_interval(self.process, self.interval)
+        return hi - lo
 
     @property
     def bandwidth_floor(self) -> float:
@@ -116,28 +107,22 @@ def config_dict(config: RunConfig) -> dict:
         "master_seed": int(config.master_seed),
         "z": config.z,
         "process": config.process,
-        "fault_injection": config.fault_injection,
     }
-
-
-def default_config(**overrides) -> RunConfig:
-    return replace(RunConfig(), **overrides) if overrides else RunConfig()
 
 
 @dataclass(frozen=True)
 class MCResult:
     """Aggregate of one replicate family.
 
-    ``m1`` through ``m4`` are raw moments (means of powers) per output
-    coordinate; ``stderr`` is the sample standard deviation over root n.
-    ``raw`` holds the full replicate-by-coordinate array only when
-    requested.
+    ``mean`` and ``m2`` through ``m4`` are raw moments (means of powers)
+    per output coordinate; ``stderr`` is the sample standard deviation
+    over root n.  ``raw`` holds the full replicate-by-coordinate array
+    only when requested.
     """
 
     n: int
     mean: np.ndarray
     stderr: np.ndarray
-    m1: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
     m4: np.ndarray
@@ -240,7 +225,6 @@ def run_replicates(
         n=n,
         mean=mean,
         stderr=stderr,
-        m1=mean,
         m2=s2 / n,
         m3=s3 / n,
         m4=s4 / n,

@@ -60,16 +60,12 @@ def two_sided_report(
     expected,
     tolerance: float,
     standard_error: float | None = None,
-    runtime_ms: float = 0.0,
-    structural_ok: bool = True,
     insufficient: bool = False,
 ) -> SuiteReport:
     """Report passing when max|observed - expected| <= effective tolerance.
 
     For Monte Carlo claims the effective tolerance is
-    max(tolerance, 4 * standard_error); ``structural_ok=False`` marks a
-    violated side condition (for example an ordering requirement) and
-    forces a fail.
+    max(tolerance, 4 * standard_error).
     """
     obs, exp = _as_tuple(observed), _as_tuple(expected)
     eff = tolerance
@@ -78,11 +74,11 @@ def two_sided_report(
     dev = max(abs(o - e) for o, e in zip(obs, exp)) if obs else 0.0
     if insufficient:
         status = INSUFFICIENT
-    elif dev <= eff and structural_ok:
+    elif dev <= eff:
         status = PASS
     else:
         status = FAIL
-    return SuiteReport(claim_id, status, obs, exp, tolerance, standard_error, runtime_ms)
+    return SuiteReport(claim_id, status, obs, exp, tolerance, standard_error)
 
 
 def bound_report(

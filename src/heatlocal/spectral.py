@@ -22,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import SupportTooLong
 from .grids import SpatialGrid
-from .heat_model import SQRT_PI
-from .reports import SuiteReport, bound_report
+from .heat_model import SQRT_PI, _gauss_legendre
 
 TWO_SQRT_PI = 2.0 * SQRT_PI
 
@@ -82,8 +80,8 @@ class StepFunction:
         return out
 
 
-def _panel_nodes(lo: float, hi: float, panel: float, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _panel_nodes(lo: float, hi: float, panel: float):
+    x, w = _gauss_legendre(_GL_ORDER)
     n_panels = max(1, int(np.ceil((hi - lo) / panel)))
     edges = np.linspace(lo, hi, n_panels + 1)
     h = 0.5 * np.diff(edges)
@@ -107,7 +105,7 @@ def smoothed_norm_sq(f: StepFunction) -> float:
     """||f * p_1||^2 by composite Gauss-Legendre on a padded window."""
     lo = float(f.breakpoints[0]) - _WINDOW_PAD
     hi = float(f.breakpoints[-1]) + _WINDOW_PAD
-    nodes, weights = _panel_nodes(lo, hi, _PANEL, _GL_ORDER)
+    nodes, weights = _panel_nodes(lo, hi, _PANEL)
     conv = convolve_heat(f, nodes)
     return float(np.sum(weights * conv * conv))
 
@@ -126,7 +124,7 @@ def quadratic_form_Q_spectral(f: StepFunction) -> float:
     """
     b = -f.jumps
     u = f.breakpoints
-    lam, w = _panel_nodes(1e-9, _LAMBDA_MAX, _LAMBDA_PANEL, _GL_ORDER)
+    lam, w = _panel_nodes(1e-9, _LAMBDA_MAX, _LAMBDA_PANEL)
     s = np.exp(-1j * np.outer(lam, u)) @ b
     integrand = (s.real**2 + s.imag**2) * (1.0 - np.exp(-lam * lam)) / lam**2
     main = float(np.sum(w * integrand)) / np.pi
@@ -142,32 +140,6 @@ def quadratic_form_Q_spectral(f: StepFunction) -> float:
                 * (np.cos(delta * _LAMBDA_MAX) / _LAMBDA_MAX - delta * (np.pi / 2.0 - si))
             )
     return main + tail / np.pi
-
-
-def check_integrator_inequality(f: StepFunction, runtime_ms: float = 0.0) -> SuiteReport:
-    """Q(f) <= ||f||^2 with slack reported; tolerance 1e-8."""
-    slack = f.norm_sq - quadratic_form_Q(f)
-    return bound_report("integrator-upper-bound", slack, 1e-8, runtime_ms=runtime_ms)
-
-
-def check_lower_bound(f: StepFunction, runtime_ms: float = 0.0) -> SuiteReport:
-    """Q(f) >= (1 - L/(2 sqrt(pi))) ||f||^2 for support length L < 2 sqrt(pi)."""
-    L = f.support_length
-    if L >= TWO_SQRT_PI:
-        raise SupportTooLong(
-            f"support {L:.4f} >= 2 sqrt(pi) = {TWO_SQRT_PI:.4f}: bound is vacuous"
-        )
-    bound = (1.0 - L / TWO_SQRT_PI) * f.norm_sq
-    slack = quadratic_form_Q(f) - bound
-    return bound_report("coercivity-lower-bound", slack, 1e-8, runtime_ms=runtime_ms)
-
-
-def check_convolution_bound(f: StepFunction, runtime_ms: float = 0.0) -> SuiteReport:
-    """||f * p_1||^2 <= ||f||^2 L / (2 sqrt(pi)) with slack reported."""
-    L = f.support_length
-    bound = f.norm_sq * L / TWO_SQRT_PI
-    slack = bound - smoothed_norm_sq(f)
-    return bound_report("convolution-upper-bound", slack, 1e-8, runtime_ms=runtime_ms)
 
 
 def form_matrix(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +158,7 @@ def form_matrix(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
     if not grid.is_uniform():
         raise ValueError("uniform partition required")
     widths = np.diff(pts)
-    nodes, weights = _panel_nodes(pts[0] - _WINDOW_PAD, pts[-1] + _WINDOW_PAD, _PANEL, _GL_ORDER)
+    nodes, weights = _panel_nodes(pts[0] - _WINDOW_PAD, pts[-1] + _WINDOW_PAD, _PANEL)
     # V[i, k] = (1_cell_k * p_1)(node_i)
     V = special.ndtr(nodes[:, None] - pts[None, :-1]) - special.ndtr(
         nodes[:, None] - pts[None, 1:]

@@ -40,6 +40,7 @@ from .heat_model import (
     path_increment_replicate,
     sheet_increment_replicate,
     sheet_variance_bias,
+    weighted_increment_square,
 )
 from .local_time import (
     bandwidth_floor,
@@ -52,7 +53,7 @@ from .local_time import (
     motion_endpoint_replicate,
     second_moment_via_density,
 )
-from .mc import FAULT_INFLATE_Q, RunConfig, run_replicates
+from .mc import RunConfig, run_replicates
 from .reports import FAIL, SuiteReport, bound_report, two_sided_report
 from .sampling import SeedSpec
 from .spectral import (
@@ -85,7 +86,12 @@ _DUAL_ROUTE_SIZE = 40
 LONG_INTERVAL = (0.0, 5.0)
 
 
-def _check_long_floor(config: RunConfig) -> None:
+def _check_suite_config(config: RunConfig) -> None:
+    """Refuse, before any sampling, a config the local-time claims cannot use."""
+    # the value claims compare against level-0 moments, and the windowed
+    # motion reference takes no level at all
+    if config.z != 0.0:
+        raise ConfigError(f"the local-time claims check level 0 only, got z = {config.z}")
     floor = bandwidth_floor(LONG_INTERVAL[1] - LONG_INTERVAL[0], config.grid_points)
     if min(config.epsilon_schedule) < floor:
         raise ConfigError(
@@ -110,21 +116,6 @@ def _timed(builder) -> SuiteReport:
     return report
 
 
-def weighted_increment_square(
-    seed: SeedSpec, points: tuple, coeffs: tuple, interval: tuple
-) -> np.ndarray:
-    """Squared weighted increment sum of one field path (MC task).
-
-    ``points`` are the step-function breakpoints above the interval base;
-    the increment over the leading cell uses the exact zero at the base.
-    The mean of this statistic is the quadratic form of the step function.
-    """
-    vals = path_increment_replicate(seed, points, interval)
-    x = np.concatenate(([0.0], vals))
-    s = float(np.dot(coeffs, np.diff(x)))
-    return np.array([s * s])
-
-
 # ---------------------------------------------------------------------------
 # spectral block
 
@@ -134,7 +125,6 @@ def spectral_reports(config: RunConfig) -> list[SuiteReport]:
     t0 = time.perf_counter()
     rng = SeedSpec(derive_master(config.master_seed, "spectral-sweep")).rng()
     functions = [random_step_function(rng) for _ in range(_SWEEP_SIZE)]
-    inflate = 1.25 if config.fault_injection == FAULT_INFLATE_Q else 1.0
 
     def sweeps():
         upper = np.empty(len(functions))
@@ -144,7 +134,7 @@ def spectral_reports(config: RunConfig) -> list[SuiteReport]:
             ns = f.norm_sq
             L = f.support_length
             sm = smoothed_norm_sq(f)
-            q = (ns - sm) * inflate
+            q = ns - sm
             upper[i] = ns - q
             lower[i] = q - (1.0 - L / TWO_SQRT_PI) * ns
             conv[i] = ns * L / TWO_SQRT_PI - sm
@@ -473,7 +463,7 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     z = config.z
     insuff = config.replicates < 2
     exact1 = bridge_moment_exact(1)
-    _check_long_floor(config)
+    _check_suite_config(config)
     long_interval = LONG_INTERVAL
 
     def family_run(tag: str, process_tag: str, interval: tuple):
@@ -503,7 +493,6 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
             motion_endpoint_replicate,
             n=config.grid_points,
             z=z,
-            schedule=sched,
             extra_eps=extra_eps,
         )
         return run_replicates(
@@ -601,7 +590,7 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     reports.append(_timed(second_moment_monotone))
 
     def endpoint_moments():
-        w1 = res_motion().raw[:, -1]
+        w1 = res_motion().raw[:, 1]
         n = w1.size
         m1 = float(np.mean(w1))
         m2 = float(np.mean(w1**2))
@@ -626,7 +615,7 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
     def windowed_sample():
         # V at extra_eps on the replicates whose endpoint lies in the window
         raw = res_motion().raw
-        return raw[:, -2][np.abs(raw[:, -1]) < window]
+        return raw[:, 0][np.abs(raw[:, 1]) < window]
 
     def conditional_mean():
         sample = windowed_sample()
@@ -685,7 +674,7 @@ def localtime_reports(config: RunConfig) -> list[SuiteReport]:
 
 def verify_all(config: RunConfig) -> list[SuiteReport]:
     """Run the full suite in fixed claim order."""
-    _check_long_floor(config)
+    _check_suite_config(config)
     reports = []
     reports += spectral_reports(config)
     reports += gram_reports(config)

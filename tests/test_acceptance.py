@@ -26,7 +26,7 @@ from heatlocal.local_time import (
     conditional_moment,
     levy_density_normalization,
 )
-from heatlocal.mc import default_config
+from heatlocal.mc import RunConfig
 from heatlocal.reports import reports_from_csv
 
 pytestmark = pytest.mark.acceptance
@@ -124,7 +124,7 @@ def test_simplex_route_reproduces_bridge_moments(gate):
 
 def test_covariance_dual_route_and_simulator_agreement(gate):
     _, _, reports = gate
-    assert default_config().replicates == 50_000  # 4x paths, 1/5 sheets
+    assert RunConfig().replicates == 50_000  # 4x paths, 1/5 sheets
     r = reports["covariance-closed-form"]
     assert r.status == "pass" and r.observed[0] <= 1e-8
     r = reports["simulator-agreement"]
@@ -133,7 +133,7 @@ def test_covariance_dual_route_and_simulator_agreement(gate):
 
 def test_smoothed_mean_identities_both_processes(gate):
     _, _, reports = gate
-    cfg = default_config()
+    cfg = RunConfig()
     assert cfg.grid_points == 8192 and cfg.epsilon_schedule[-1] == 0.005
 
     r = reports["local-time-mean-bridge"]

@@ -16,7 +16,6 @@ from heatlocal.gram import (
     CellGrid,
     VectorFamily,
     bridge_moment_from_simplex,
-    check_projection_identity,
     check_simplex_partition,
     dirichlet_simplex_integral,
     gram_det,
@@ -77,8 +76,6 @@ def test_projection_identity_hand_example():
     lhs, rhs = projection_identity_values(g, basis)
     assert lhs == pytest.approx(9.0, rel=1e-12)  # G([0,1,0],[0,0,3])
     assert rhs == pytest.approx(lhs, rel=1e-12)
-    rep = check_projection_identity(g, basis)
-    assert rep.status == "pass"
 
 
 def test_projection_identity_rejects_skewed_basis():

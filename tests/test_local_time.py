@@ -136,7 +136,7 @@ def test_replicates_require_resolvable_bandwidth():
     with pytest.raises(BandwidthTooSmall, match="floor"):
         local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (1e-4,))
     with pytest.raises(BandwidthTooSmall, match="floor"):
-        motion_endpoint_replicate(SeedSpec(5), 64, 0.0, (0.08,), extra_eps=1e-4)
+        motion_endpoint_replicate(SeedSpec(5), 64, 0.0, extra_eps=1e-4)
     out = local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (0.08,))
     assert out.shape == (1,)
     assert out[0] > 0.0
@@ -152,11 +152,13 @@ def test_replicate_layout_and_gap_consistency():
 
 
 def test_motion_replicate_carries_endpoint():
-    sched = (0.08, 0.04)
-    out = motion_endpoint_replicate(SeedSpec(4), 512, 0.0, sched, extra_eps=0.02)
-    assert out.shape == (2 + 1 + 1 + 1,)
+    out = motion_endpoint_replicate(SeedSpec(4), 512, 0.0, extra_eps=0.02)
+    assert out.shape == (2,)
     w1 = motion_values(SeedSpec(4), 512)[-1]
-    assert out[-1] == w1
+    assert out[1] == w1
+    # the first column is the bandwidth-0.02 replicate of the same path
+    v = local_time_replicate(SeedSpec(4), "motion", 512, (0.0, 1.0), 0.0, (0.02,))
+    assert out[0] == v[0]
 
 
 def test_window_mean_approaches_conditional_moment():

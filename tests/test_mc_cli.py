@@ -12,14 +12,8 @@ from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
-from heatlocal.mc import (
-    CHUNK,
-    MCResult,
-    RunConfig,
-    config_dict,
-    default_config,
-    run_replicates,
-)
+from heatlocal.local_time import local_time_replicate, motion_endpoint_replicate
+from heatlocal.mc import CHUNK, MCResult, RunConfig, config_dict, run_replicates
 from heatlocal.reports import (
     AggregateTable,
     SuiteReport,
@@ -67,18 +61,32 @@ def test_results_identical_across_worker_counts():
     kwargs = dict(replicates=2500, master_seed=17)
     serial = run_replicates(echo_seed_task, **kwargs)
     parallel = run_replicates(echo_seed_task, jobs=4, **kwargs)
-    for field in ("mean", "stderr", "m1", "m2", "m3", "m4"):
+    for field in ("mean", "stderr", "m2", "m3", "m4"):
         assert np.array_equal(getattr(serial, field), getattr(parallel, field))
 
 
+_INCREMENTS = dict(points=(0.6, 0.9, 1.2, 1.5, 1.8, 2.0), interval=(0.0, 2.0))
+# a 257-point grid resolves the schedule on (0, 2) and the extra bandwidth on (0, 1)
+_PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
+
+
 @pytest.mark.parametrize("replicates", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
-@pytest.mark.parametrize("route", (path_increment_replicate, sheet_increment_replicate))
+@pytest.mark.parametrize(
+    "route",
+    (
+        partial(path_increment_replicate, **_INCREMENTS),
+        partial(sheet_increment_replicate, **_INCREMENTS),
+        partial(local_time_replicate, process_tag="heat", interval=(0.0, 2.0), **_PATHS),
+        partial(local_time_replicate, process_tag="bridge", interval=(0.0, 1.0), **_PATHS),
+        partial(local_time_replicate, process_tag="motion", interval=(0.0, 1.0), **_PATHS),
+        partial(motion_endpoint_replicate, n=257, z=0.0, extra_eps=0.02),
+    ),
+)
 def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):
-    task = partial(route, points=(0.6, 0.9, 1.2, 1.5, 1.8, 2.0), interval=(0.0, 2.0))
     kwargs = dict(replicates=replicates, master_seed=29, return_raw=True)
-    serial = run_replicates(task, jobs=1, **kwargs)
-    parallel = run_replicates(task, jobs=2, **kwargs)
-    assert serial.raw.shape == (replicates, 6)
+    serial = run_replicates(route, jobs=1, **kwargs)
+    parallel = run_replicates(route, jobs=2, **kwargs)
+    assert serial.raw.shape[0] == replicates
     assert serial.raw.tobytes() == parallel.raw.tobytes()
 
 
@@ -105,7 +113,7 @@ def test_replicate_failure_crosses_process_boundary():
 
 
 def test_bridge_mean_task_matches_quadrature_small_scale():
-    from heatlocal.local_time import expected_smoothed_local_time, local_time_replicate
+    from heatlocal.local_time import expected_smoothed_local_time
 
     task = partial(
         local_time_replicate,
@@ -136,23 +144,22 @@ def test_bridge_mean_task_matches_quadrature_small_scale():
         dict(epsilon_schedule=(1e-7,)),
         dict(output_format="yaml"),
         dict(process="poisson"),
-        dict(fault_injection="scramble-everything"),
     ],
 )
 def test_config_rejections(overrides):
     with pytest.raises(ConfigError):
-        default_config(**overrides)
+        RunConfig(**overrides)
 
 
 def test_bandwidth_floor_scales_with_interval():
-    ok = default_config(interval=(0.0, 2.0), grid_points=8192)
+    ok = RunConfig(interval=(0.0, 2.0), grid_points=8192)
     assert ok.bandwidth_floor == pytest.approx(8.0 / 8191)
     with pytest.raises(ConfigError):
-        default_config(interval=(0.0, 60.0))
+        RunConfig(interval=(0.0, 60.0))
 
 
 def test_config_dict_excludes_execution_only_fields():
-    cfg = default_config(jobs=8, output_path="x.csv", output_format="json")
+    cfg = RunConfig(jobs=8, output_path="x.csv", output_format="json")
     d = config_dict(cfg)
     assert "jobs" not in d and "output_path" not in d and "output_format" not in d
     assert d["replicates"] == 50_000
@@ -178,7 +185,7 @@ def test_report_csv_roundtrip_exact():
 
 
 def test_report_json_roundtrip_with_config():
-    cfg = default_config()
+    cfg = RunConfig()
     reports = [two_sided_report("claim-c", (1.0, 2.0), (1.0, 2.0), 1e-6)]
     text = reports_to_json(reports, config_dict(cfg), "9.9.9")
     back, cfg_d, version = reports_from_json(text)
@@ -440,18 +447,8 @@ def test_cli_localtime_table(tmp_path, capsys):
     assert table.rows[2][1] == 0.04
 
 
-def test_cli_fault_injection_fails_integrator(capsys):
-    rc = main(
-        [
-            "spectral",
-            "--reps",
-            "50",
-            "--grid",
-            "4096",
-            "--fault-injection",
-            "inflate-quadratic-form",
-        ]
-    )
+def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, capsys):
+    rc = main(["spectral", "--reps", "50", "--grid", "4096"])
     captured = capsys.readouterr()
     assert rc == 1
     rows = list(csv.reader(io.StringIO(captured.out)))
@@ -459,3 +456,12 @@ def test_cli_fault_injection_fails_integrator(capsys):
     assert by_id["integrator-upper-bound-sweep"] == "fail"
     assert by_id["convolution-upper-bound-sweep"] == "pass"
     assert "first failing claim: integrator-upper-bound-sweep" in captured.err
+
+
+def test_cli_verify_nonzero_level_exits_two_before_any_work(forbid_in_verify, capsys):
+    forbid_in_verify("run_replicates", "spectral_reports", "localtime_reports")
+    rc = main(["verify", "--z", "0.5", "--reps", "50", "--grid", "4096"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:")

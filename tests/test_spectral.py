@@ -9,9 +9,6 @@ from heatlocal.grids import SpatialGrid
 from heatlocal.spectral import (
     StepFunction,
     TWO_SQRT_PI,
-    check_convolution_bound,
-    check_integrator_inequality,
-    check_lower_bound,
     convolve_heat,
     form_matrix,
     quadratic_form_Q,
@@ -27,10 +24,6 @@ UNIT_INDICATOR = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
 # its exact squared norm, 1
 Q_UNIT = 0.7290967103470213
 SMOOTH_UNIT = 0.2709032896529787
-
-
-def indicator(lo: float, hi: float) -> StepFunction:
-    return StepFunction(np.array([lo, hi]), np.array([1.0]))
 
 
 def test_unit_indicator_frozen_values():
@@ -79,21 +72,6 @@ def test_sandwich_bounds_on_random_functions(seed):
     assert q <= ns + 1e-8
     assert q >= (1.0 - L / TWO_SQRT_PI) * ns - 1e-8
     assert smoothed_norm_sq(f) <= ns * L / TWO_SQRT_PI + 1e-8
-
-
-def test_check_functions_report_pass():
-    f = indicator(-0.3, 1.1)
-    for check in (check_integrator_inequality, check_lower_bound, check_convolution_bound):
-        rep = check(f)
-        assert rep.status == "pass"
-
-
-def test_lower_bound_requires_short_support():
-    from heatlocal.errors import SupportTooLong
-
-    long_f = indicator(0.0, 4.0)  # 4 > 2 sqrt(pi)
-    with pytest.raises(SupportTooLong):
-        check_lower_bound(long_f)
 
 
 def test_eigenvalue_floor_on_unit_interval():

@@ -8,8 +8,9 @@ import pytest
 from heatlocal import heat_model, verify
 from heatlocal.errors import ConfigError
 from heatlocal.grids import SpatialGrid
+from heatlocal.gram import bridge_moment_from_simplex, gram_det
 from heatlocal.heat_model import build_sheet_operator, sheet_variance_bias
-from heatlocal.mc import FAULT_INFLATE_Q, default_config
+from heatlocal.mc import RunConfig
 from heatlocal.verify import (
     covariance_reports,
     exit_code,
@@ -84,7 +85,7 @@ DETERMINISTIC_CLAIMS = frozenset(
 
 @pytest.fixture(scope="module")
 def timed_small_suite():
-    cfg = default_config(replicates=400, grid_points=4096, master_seed=42)
+    cfg = RunConfig(replicates=400, grid_points=4096, master_seed=42)
     t0 = time.perf_counter()
     reports = verify_all(cfg)
     return reports, time.perf_counter() - t0
@@ -131,7 +132,7 @@ def test_failed_reports_are_out_of_tolerance(small_suite):
 
 
 def test_single_replicate_marks_sampled_claims_insufficient():
-    cfg = default_config(replicates=1, grid_points=4096, master_seed=7)
+    cfg = RunConfig(replicates=1, grid_points=4096, master_seed=7)
     reports = verify_all(cfg)
     for r in reports:
         if r.claim_id in DETERMINISTIC_CLAIMS:
@@ -140,13 +141,8 @@ def test_single_replicate_marks_sampled_claims_insufficient():
             assert r.status == "insufficient-power", r.claim_id
 
 
-def test_fault_injection_flips_only_the_integrator_claim():
-    cfg = default_config(
-        replicates=50,
-        grid_points=4096,
-        master_seed=42,
-        fault_injection=FAULT_INFLATE_Q,
-    )
+def test_fault_injection_flips_only_the_integrator_claim(inflated_quadratic_form):
+    cfg = RunConfig(replicates=50, grid_points=4096, master_seed=42)
     reports = spectral_reports(cfg)
     by_id = {r.claim_id: r.status for r in reports}
     assert by_id["integrator-upper-bound-sweep"] == "fail"
@@ -157,7 +153,7 @@ def test_fault_injection_flips_only_the_integrator_claim():
 
 
 def _failing_covariance_claims() -> set:
-    cfg = default_config(replicates=4000, grid_points=4096, master_seed=42)
+    cfg = RunConfig(replicates=4000, grid_points=4096, master_seed=42)
     reports = covariance_reports(cfg)
     assert [r.claim_id for r in reports] == list(CLAIM_ORDER[17:20])
     return {r.claim_id for r in reports if r.status != "pass"}
@@ -179,8 +175,39 @@ def test_inflated_sheet_factor_flips_only_the_agreement_claim(monkeypatch):
     assert _failing_covariance_claims() == {"simulator-agreement"}
 
 
+def _failing_claims(block, monkeypatch, name, corrupted) -> set:
+    monkeypatch.setattr(verify, name, corrupted)
+    reports = block(RunConfig(replicates=50, grid_points=4096, master_seed=42))
+    return {r.claim_id for r in reports if r.status != "pass"}
+
+
+def test_scaled_gram_determinant_flips_only_the_discretization_claim(monkeypatch):
+    failing = _failing_claims(
+        gram_reports, monkeypatch, "gram_det", lambda family: 1.01 * gram_det(family)
+    )
+    assert failing == {"gram-indicator-discretization"}
+
+
+def test_scaled_simplex_moments_flip_only_the_simplex_claims(monkeypatch):
+    def scaled(k, simplex_value):
+        return 1.05 * bridge_moment_from_simplex(k, simplex_value)
+
+    failing = _failing_claims(moment_reports, monkeypatch, "bridge_moment_from_simplex", scaled)
+    assert failing == {f"bridge-moment-simplex-k{k}" for k in (1, 2, 3)}
+
+
+def test_nonzero_level_rejected_before_any_sampling(forbid_in_verify):
+    blocks = ("spectral_reports", "gram_reports", "moment_reports", "covariance_reports")
+    forbid_in_verify("run_replicates", *blocks)
+    cfg = RunConfig(replicates=50, grid_points=4096, z=0.5)
+    with pytest.raises(ConfigError, match="level 0"):
+        verify_all(cfg)
+    with pytest.raises(ConfigError, match="level 0"):
+        localtime_reports(cfg)
+
+
 def test_subcommand_blocks_partition_the_suite():
-    cfg = default_config(replicates=2, grid_points=4096, master_seed=3)
+    cfg = RunConfig(replicates=2, grid_points=4096, master_seed=3)
     blocks = [
         spectral_reports(cfg),
         gram_reports(cfg),
@@ -193,15 +220,15 @@ def test_subcommand_blocks_partition_the_suite():
 
 
 def test_coarse_grid_rejected_before_any_sampling():
-    cfg = default_config(replicates=50_000, grid_points=2048)
+    cfg = RunConfig(replicates=50_000, grid_points=2048)
     with pytest.raises(ConfigError, match="floor"):
         verify_all(cfg)
 
 
 def test_verify_deterministic_across_jobs():
     kwargs = dict(replicates=120, grid_points=4096, master_seed=11)
-    serial = verify_all(default_config(jobs=1, **kwargs))
-    parallel = verify_all(default_config(jobs=3, **kwargs))
+    serial = verify_all(RunConfig(jobs=1, **kwargs))
+    parallel = verify_all(RunConfig(jobs=3, **kwargs))
     for a, b in zip(serial, parallel):
         assert a.claim_id == b.claim_id
         assert a.observed == b.observed
