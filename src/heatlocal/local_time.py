@@ -289,11 +289,24 @@ def path_values(process_tag: str, seed: SeedSpec, n: int, interval: tuple[float,
 def smoothed_values(
     values: np.ndarray, trap_w: np.ndarray, z: float, schedule: tuple[float, ...]
 ) -> np.ndarray:
-    """V_eps for every eps in the schedule, sharing one path."""
-    y2 = (values - z) ** 2
+    """V_eps for every eps in the schedule, sharing one path.
+
+    V_eps = sum(trap_w exp(-(x - z)^2 / 2 eps)) / sqrt(2 pi eps).  When eps
+    is exactly half the previous bandwidth its kernel is the square of the
+    previous kernel, so a dyadic schedule pays for one exp; any other step
+    computes its exp afresh.
+    """
+    neg_y2 = -((values - z) ** 2)
+    kernel = np.empty_like(neg_y2)
+    weighted = np.empty_like(neg_y2)
     out = np.empty(len(schedule))
     for i, eps in enumerate(schedule):
-        out[i] = float(np.sum(trap_w * np.exp(-y2 / (2.0 * eps))) / np.sqrt(2.0 * np.pi * eps))
+        if i > 0 and schedule[i - 1] == 2.0 * eps:
+            np.multiply(kernel, kernel, out=kernel)
+        else:
+            np.exp(np.divide(neg_y2, 2.0 * eps, out=kernel), out=kernel)
+        np.multiply(trap_w, kernel, out=weighted)
+        out[i] = float(np.sum(weighted) / np.sqrt(2.0 * np.pi * eps))
     return out
 
 

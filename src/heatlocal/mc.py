@@ -194,7 +194,22 @@ def run_replicates(
         raise ConfigError("replicates must be at least 1")
 
     spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
-    results = []
+    total = None
+    raw = None
+
+    def fold(start, sums, block):
+        # chunks arrive in index order; a raw block is copied into place
+        # and dropped, so the raw rows are never held twice
+        nonlocal total, raw
+        if total is None:
+            total = sums.copy()
+        else:
+            total += sums
+        if return_raw:
+            if raw is None:
+                raw = np.empty((n, block.shape[1]))
+            raw[start : start + block.shape[0]] = block
+
     if workers > 1 and len(spans) > 1:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(spans)), initializer=_pin_worker_threads
@@ -203,16 +218,13 @@ def run_replicates(
                 pool.submit(_chunk_power_sums, task, seed, s, e, return_raw)
                 for s, e in spans
             ]
-            for fut in futures:
-                results.append(fut.result())
+            for i, fut in enumerate(futures):
+                fold(*fut.result())
+                futures[i] = None
     else:
         for s, e in spans:
-            results.append(_chunk_power_sums(task, seed, s, e, return_raw))
+            fold(*_chunk_power_sums(task, seed, s, e, return_raw))
 
-    results.sort(key=lambda r: r[0])
-    total = results[0][1].copy()
-    for _, sums, _ in results[1:]:
-        total += sums
     s1, s2, s3, s4 = total
     mean = s1 / n
     if n > 1:
@@ -220,7 +232,6 @@ def run_replicates(
         stderr = np.sqrt(var / n)
     else:
         stderr = np.zeros_like(mean)
-    raw = np.concatenate([r[2] for r in results]) if return_raw else None
     return MCResult(
         n=n,
         mean=mean,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft
 
 from .errors import NonPSD
 
@@ -156,15 +157,37 @@ def circulant_embedding_weights(cov_sequence: np.ndarray) -> np.ndarray:
     return np.sqrt(lam / lam.size)
 
 
+def _stationary_synthesis(weights: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """First n values of the circulant field driven by m real normals z.
+
+    The Hermitian half spectrum (Dietrich & Newsam 1997) takes y[0] = z[0]
+    and y[m/2] = z[m/2] real and y[k] = (z[k] + i z[m/2 + k]) / sqrt(2) for
+    0 < k < m/2.  Since the weights are symmetric, w[k] = w[m - k], the
+    real sequence m * irfft(w[:m/2+1] y) has covariance exactly the
+    circulant, so the map is linear in z and its first n x n block is the
+    Toeplitz covariance.  ``norm="forward"`` leaves the inverse transform
+    unscaled, which is the factor m; y is a scratch buffer, so the
+    transform may overwrite it.
+    """
+    m = weights.size
+    h = m // 2
+    y = np.empty(h + 1, dtype=complex)
+    y.real = z[: h + 1]
+    y.imag[0] = y.imag[h] = 0.0
+    y.imag[1:h] = z[h + 1 :]
+    y[1:h] *= np.sqrt(0.5)
+    y *= weights[: h + 1]
+    return irfft(y, n=m, norm="forward", overwrite_x=True)[:n]
+
+
 def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.ndarray:
     """First n values of a stationary Gaussian sequence, exact in law.
 
     ``weights`` comes from :func:`circulant_embedding_weights`; n must not
-    exceed half the embedding length plus one (the exact block).
+    exceed half the embedding length plus one (the exact block).  One
+    replicate costs m real normals and one real inverse FFT of length m.
     """
     m = weights.size
     if n > m // 2 + 1:
         raise ValueError("requested block exceeds the exact embedding range")
-    rng = seed.rng()
-    zeta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return np.fft.fft(weights * zeta).real[:n]
+    return _stationary_synthesis(weights, seed.rng().standard_normal(m), n)

@@ -23,9 +23,12 @@ from heatlocal.local_time import (
     marginal_variance,
     motion_endpoint_replicate,
     motion_values,
+    _trapezoid_weights,
     path_values,
     second_moment_via_density,
+    smoothed_values,
 )
+from heatlocal.mc import DEFAULT_EPSILON_SCHEDULE
 from heatlocal.sampling import SeedSpec
 
 ROOT_HALF_PI = float(np.sqrt(np.pi / 2.0))
@@ -170,3 +173,44 @@ def test_window_mean_approaches_conditional_moment():
 def test_path_values_unknown_process():
     with pytest.raises(UnknownProcess):
         path_values("levy", SeedSpec(0), 16, (0.0, 1.0))
+
+
+def _direct_smoothed(values, trap_w, z, schedule):
+    # one fresh kernel per bandwidth: the reference for smoothed_values
+    y2 = (values - z) ** 2
+    return np.array(
+        [
+            float(np.sum(trap_w * np.exp(-y2 / (2.0 * eps))) / np.sqrt(2.0 * np.pi * eps))
+            for eps in schedule
+        ]
+    )
+
+
+@pytest.mark.parametrize("process_tag, interval", [("heat", (0.0, 5.0)), ("bridge", (0.0, 1.0))])
+def test_dyadic_smoothing_matches_direct_kernels(process_tag, interval):
+    n = 8192
+    trap_w = _trapezoid_weights(*interval, n)
+    non_dyadic = (0.08, 0.05, 0.01)
+    for i in range(4):
+        vals = path_values(process_tag, SeedSpec(21, i), n, interval)
+        fast = smoothed_values(vals, trap_w, 0.0, DEFAULT_EPSILON_SCHEDULE)
+        direct = _direct_smoothed(vals, trap_w, 0.0, DEFAULT_EPSILON_SCHEDULE)
+        assert np.max(np.abs(fast / direct - 1.0)) <= 1e-14
+        # no step halves the bandwidth, so every kernel is a fresh exp
+        assert np.array_equal(
+            smoothed_values(vals, trap_w, 0.0, non_dyadic),
+            _direct_smoothed(vals, trap_w, 0.0, non_dyadic),
+        )
+
+
+def test_smoothing_underflow_gives_zeros_not_nan():
+    n = 8192
+    trap_w = _trapezoid_weights(0.0, 1.0, n)
+    path = bridge_values(SeedSpec(5), n)
+    # at distance about 11 the widest kernel runs from normal through
+    # subnormal values to 0; at distance 40 every exp underflows to 0
+    for shift in (11.0, 40.0):
+        out = smoothed_values(path + shift, trap_w, 0.0, DEFAULT_EPSILON_SCHEDULE)
+        assert not np.any(np.isnan(out))
+        assert np.all(out >= 0.0)
+        assert out[-1] == 0.0

@@ -39,6 +39,10 @@ def echo_seed_task(seed):
     return np.array([float(seed.rng().standard_normal())])
 
 
+def index_task(seed):
+    return np.array([float(seed.replicate_index), 1.0])
+
+
 def failing_task(seed):
     if seed.replicate_index == 7:
         raise ValueError("boom")
@@ -88,6 +92,13 @@ def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):
     parallel = run_replicates(route, jobs=2, **kwargs)
     assert serial.raw.shape[0] == replicates
     assert serial.raw.tobytes() == parallel.raw.tobytes()
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_raw_rows_sit_at_their_replicate_index(jobs):
+    n = 2 * CHUNK + 1
+    res = run_replicates(index_task, replicates=n, master_seed=5, jobs=jobs, return_raw=True)
+    assert np.array_equal(res.raw, np.column_stack([np.arange(n), np.ones(n)]))
 
 
 def test_raw_collection_matches_stream():

@@ -13,6 +13,7 @@ from heatlocal.sampling import (
     jittered_cholesky,
     sample_brownian_bridge,
     sample_gaussian_vector,
+    _stationary_synthesis,
     sample_stationary_values,
 )
 
@@ -126,3 +127,23 @@ def test_stationary_block_length_guard():
     w = circulant_embedding_weights(np.exp(-np.arange(5) / 2.0))
     with pytest.raises(ValueError):
         sample_stationary_values(w, SeedSpec(0), 6)
+
+
+def test_stationary_synthesis_is_an_exact_factor_of_the_toeplitz_block():
+    # the synthesis is linear in the m normals; its matrix M on a small
+    # embedding (m = 16) must reproduce the covariance exactly, not in law
+    cov_seq = np.exp(-np.arange(9) / 3.0)
+    w = circulant_embedding_weights(cov_seq)
+    m, n = w.size, 9
+    assert m == 16
+    M = np.column_stack([_stationary_synthesis(w, e, n) for e in np.eye(m)])
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    assert np.max(np.abs(M @ M.T - cov_seq[lags])) < 1e-12
+
+
+def test_stationary_sampler_draws_the_head_of_the_stream():
+    w = circulant_embedding_weights(np.exp(-np.arange(9) / 3.0))
+    for i in range(3):
+        z = SeedSpec(9, i).rng().standard_normal(w.size)
+        x = sample_stationary_values(w, SeedSpec(9, i), 9)
+        assert np.array_equal(x, _stationary_synthesis(w, z, 9))

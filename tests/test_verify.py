@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from heatlocal import heat_model, verify
+from heatlocal import heat_model, local_time, verify
 from heatlocal.errors import ConfigError
 from heatlocal.grids import SpatialGrid
 from heatlocal.gram import bridge_moment_from_simplex, gram_det
@@ -194,6 +194,46 @@ def test_scaled_simplex_moments_flip_only_the_simplex_claims(monkeypatch):
 
     failing = _failing_claims(moment_reports, monkeypatch, "bridge_moment_from_simplex", scaled)
     assert failing == {f"bridge-moment-simplex-k{k}" for k in (1, 2, 3)}
+
+
+def _failing_localtime_claims(monkeypatch, name, corrupted) -> set:
+    monkeypatch.setattr(local_time, name, corrupted)
+    reports = localtime_reports(RunConfig(replicates=1000, grid_points=4096, master_seed=42))
+    assert [r.claim_id for r in reports] == list(CLAIM_ORDER[20:])
+    return {r.claim_id for r in reports if r.status != "pass"}
+
+
+def test_misnormalised_kernel_flips_the_level_claims_only(monkeypatch):
+    # a kernel normalised by 1/sqrt(pi eps) instead of 1/sqrt(2 pi eps)
+    # scales every V by sqrt 2: the means, the second moments and the
+    # windowed motion means fail.  The endpoint moments never read V, the
+    # monotone second moments are quadrature only, and the squared gaps
+    # all double, so their order holds.
+    smoothed = local_time.smoothed_values
+    failing = _failing_localtime_claims(
+        monkeypatch, "smoothed_values", lambda *args: np.sqrt(2.0) * smoothed(*args)
+    )
+    assert failing == {
+        "local-time-mean-bridge",
+        "bridge-mean-value",
+        "local-time-mean-heat-short",
+        "local-time-mean-heat-long",
+        "bridge-second-moment",
+        "bridge-second-moment-value",
+        "levy-conditional-mean",
+        "levy-conditional-value",
+    }
+
+
+def test_unit_span_trapezoid_weights_flip_only_the_heat_means(monkeypatch):
+    # weights spaced as on [0, 1] whatever the interval: bridge and motion
+    # run on [0, 1] and are untouched, the heat V shrink by the span (2 and
+    # 5), and the heat gaps shrink alike, keeping their order
+    weights = local_time._trapezoid_weights
+    failing = _failing_localtime_claims(
+        monkeypatch, "_trapezoid_weights", lambda lo, hi, n: weights(0.0, 1.0, n)
+    )
+    assert failing == {"local-time-mean-heat-short", "local-time-mean-heat-long"}
 
 
 def test_nonzero_level_rejected_before_any_sampling(forbid_in_verify):
