@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
@@ -21,9 +22,15 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
 from .local_time import local_time_replicate, path_values, process_interval
-from .mc import DEFAULT_EPSILON_SCHEDULE, PROCESSES, RunConfig, config_dict, run_replicates
+from .mc import (
+    DEFAULT_EPSILON_SCHEDULE,
+    PROCESSES,
+    MCResult,
+    RunConfig,
+    config_dict,
+    run_replicates,
+)
 from .reports import (
-    FAIL,
     AggregateTable,
     reports_to_csv,
     reports_to_json,
@@ -31,6 +38,7 @@ from .reports import (
     table_to_json,
 )
 from .verify import (
+    exit_code,
     first_failure,
     gram_reports,
     moment_reports,
@@ -103,22 +111,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _moments(res: MCResult, i: int) -> tuple[float, ...]:
+    """(mean, stderr, m2, m3, m4) of output coordinate i."""
+    return tuple(float(col[i]) for col in (res.mean, res.stderr, res.m2, res.m3, res.m4))
+
+
 def _simulate_table(config: RunConfig) -> AggregateTable:
     interval = process_interval(config.process, config.interval)
     task = partial(path_values, config.process, n=config.grid_points, interval=interval)
     res = run_replicates(task, config)
     points = np.linspace(interval[0], interval[1], config.grid_points)
-    rows = tuple(
-        (
-            float(points[i]),
-            float(res.mean[i]),
-            float(res.stderr[i]),
-            float(res.m2[i]),
-            float(res.m3[i]),
-            float(res.m4[i]),
-        )
-        for i in range(config.grid_points)
-    )
+    rows = tuple((float(points[i]), *_moments(res, i)) for i in range(config.grid_points))
     return AggregateTable(("u", "mean", "stderr", "m2", "m3", "m4"), rows)
 
 
@@ -135,34 +138,10 @@ def _localtime_table(config: RunConfig) -> AggregateTable:
     )
     res = run_replicates(task, config)
     k = len(sched)
-    rows = []
     # one row per bandwidth: the smoothed value V_eps
-    for i, eps in enumerate(sched):
-        rows.append(
-            (
-                eps,
-                None,
-                float(res.mean[i]),
-                float(res.stderr[i]),
-                float(res.m2[i]),
-                float(res.m3[i]),
-                float(res.m4[i]),
-            )
-        )
+    rows = [(eps, None, *_moments(res, i)) for i, eps in enumerate(sched)]
     # one row per consecutive pair: the squared gap (V_hi - V_lo)^2
-    for j in range(k - 1):
-        i = k + j
-        rows.append(
-            (
-                sched[j],
-                sched[j + 1],
-                float(res.mean[i]),
-                float(res.stderr[i]),
-                float(res.m2[i]),
-                float(res.m3[i]),
-                float(res.m4[i]),
-            )
-        )
+    rows += [(sched[j], sched[j + 1], *_moments(res, k + j)) for j in range(k - 1)]
     return AggregateTable(
         ("eps", "eps_pair_low", "mean", "stderr", "m2", "m3", "m4"), tuple(rows)
     )
@@ -223,6 +202,10 @@ def main(argv=None) -> int:
     except HeatLocalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (BrokenProcessPool, MemoryError) as exc:
+        # the run could not finish, which is not a failed claim
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         _emit(text, config)
@@ -231,10 +214,10 @@ def main(argv=None) -> int:
         return 2
     for r in reports:
         print(f"{r.status:20s} {r.claim_id}", file=sys.stderr)
-    if any(r.status == FAIL for r in reports):
+    code = exit_code(reports)
+    if code:
         print(f"first failing claim: {first_failure(reports)}", file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

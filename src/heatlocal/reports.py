@@ -86,7 +86,6 @@ def bound_report(
     slack,
     tolerance: float,
     standard_error: float | None = None,
-    runtime_ms: float = 0.0,
     insufficient: bool = False,
 ) -> SuiteReport:
     """Report for one-sided claims: passes when every slack >= -tolerance.
@@ -101,7 +100,7 @@ def bound_report(
     else:
         status = PASS if all(v >= -tolerance for v in s) else FAIL
     zeros = tuple(0.0 for _ in s)
-    return SuiteReport(claim_id, status, s, zeros, tolerance, standard_error, runtime_ms)
+    return SuiteReport(claim_id, status, s, zeros, tolerance, standard_error)
 
 
 def _fmt(x: float) -> str:

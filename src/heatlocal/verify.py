@@ -1,8 +1,8 @@
 """Claim-by-claim verification suite.
 
-Every quantitative claim the package makes is exercised here and reported
-as a :class:`SuiteReport`.  Deterministic identities carry absolute or
-relative tolerances; Monte Carlo claims pass within
+Every quantitative claim the package makes is one entry of :data:`CLAIMS`
+and is reported as a :class:`SuiteReport`.  Deterministic identities carry
+absolute or relative tolerances; Monte Carlo claims pass within
 max(tolerance, 4 x standard error).  All randomness is derived from the
 config's master seed through per-claim tags, so two runs with the same
 seed produce byte-identical reports (runtimes aside) for any worker
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from ._version import __version__
 from .errors import ConfigError
 from .gram import (
     CellGrid,
@@ -53,7 +54,7 @@ from .local_time import (
     motion_endpoint_replicate,
     second_moment_via_density,
 )
-from .mc import RunConfig, run_replicates
+from .mc import MCResult, RunConfig, run_replicates
 from .reports import FAIL, SuiteReport, bound_report, two_sided_report
 from .sampling import SeedSpec
 from .spectral import (
@@ -81,9 +82,14 @@ _INDICATOR_SWEEP = 100
 _EXTENSION_SWEEP = 200
 _DUAL_ROUTE_SIZE = 40
 
+# endpoint window of the conditional (Levy) motion claims
+_WINDOW = 0.1
 
 # the suite always adds one heat run on an interval longer than 2 sqrt(pi)
 LONG_INTERVAL = (0.0, 5.0)
+
+TWO_SIDED = "two-sided"
+BOUND = "bound"
 
 
 def _check_suite_config(config: RunConfig) -> None:
@@ -109,28 +115,44 @@ def derive_master(master_seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _timed(builder) -> SuiteReport:
-    t0 = time.perf_counter()
-    report = builder()
-    report.runtime_ms = (time.perf_counter() - t0) * 1e3
-    return report
+class _TooFewDraws(Exception):
+    """A claim's own sample has under two draws; ``args`` are its report numbers."""
 
 
-# ---------------------------------------------------------------------------
-# spectral block
+class _Inputs:
+    """The shared inputs of one block run, each computed on first read and kept.
 
+    A shared input is a Monte Carlo family, the spectral sweep, the gram
+    stream or a quadrature read by several claims.  The first claim that
+    reads one is charged its time.  Each family draws from its own derived
+    seed, so the order the claims read them in does not affect any value.
+    """
 
-def spectral_reports(config: RunConfig) -> list[SuiteReport]:
-    reports: list[SuiteReport] = []
-    t0 = time.perf_counter()
-    rng = SeedSpec(derive_master(config.master_seed, "spectral-sweep")).rng()
-    functions = [random_step_function(rng) for _ in range(_SWEEP_SIZE)]
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.k = len(config.epsilon_schedule)
+        self.eps_star = config.epsilon_schedule[-1]
+        self.extra_eps = max(5e-4, bandwidth_floor(1.0, config.grid_points))
 
-    def sweeps():
-        upper = np.empty(len(functions))
-        lower = np.empty(len(functions))
-        conv = np.empty(len(functions))
-        for i, f in enumerate(functions):
+    def run(self, tag: str, task, replicates: int, return_raw: bool = False) -> MCResult:
+        return run_replicates(
+            task,
+            replicates=replicates,
+            master_seed=derive_master(self.config.master_seed, tag),
+            jobs=self.config.jobs,
+            return_raw=return_raw,
+        )
+
+    @cached_property
+    def step_functions(self) -> list[StepFunction]:
+        rng = SeedSpec(derive_master(self.config.master_seed, "spectral-sweep")).rng()
+        return [random_step_function(rng) for _ in range(_SWEEP_SIZE)]
+
+    @cached_property
+    def sweeps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slack of the upper, lower and convolution bounds per step function."""
+        upper, lower, conv = (np.empty(_SWEEP_SIZE) for _ in range(3))
+        for i, f in enumerate(self.step_functions):
             ns = f.norm_sq
             L = f.support_length
             sm = smoothed_norm_sq(f)
@@ -140,217 +162,223 @@ def spectral_reports(config: RunConfig) -> list[SuiteReport]:
             conv[i] = ns * L / TWO_SQRT_PI - sm
         return upper, lower, conv
 
-    upper, lower, conv = sweeps()
-    sweep_ms = (time.perf_counter() - t0) * 1e3
-    reports.append(
-        bound_report(
-            "integrator-upper-bound-sweep", float(np.min(upper)), 1e-8, runtime_ms=sweep_ms
-        )
-    )
-    reports.append(
-        bound_report("coercivity-lower-bound-sweep", float(np.min(lower)), 1e-8)
-    )
-    reports.append(
-        bound_report("convolution-upper-bound-sweep", float(np.min(conv)), 1e-8)
-    )
+    @cached_property
+    def gram_rng(self) -> np.random.Generator:
+        # one stream, read by the gram sweeps in registry order
+        return SeedSpec(derive_master(self.config.master_seed, "gram-sweep")).rng()
 
-    def dual_route():
-        sample = functions[:_DUAL_ROUTE_SIZE] + [
-            StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-        ]
-        worst = 0.0
-        for f in sample:
-            a = quadratic_form_Q(f)
-            b = quadratic_form_Q_spectral(f)
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
-        return two_sided_report("spectral-dual-route", worst, 0.0, 1e-6)
-
-    reports.append(_timed(dual_route))
-
-    def eigen_floor():
-        lam = smallest_form_eigenvalue(SpatialGrid.uniform(0.0, 1.0, 17))
-        floor = 1.0 - 1.0 / TWO_SQRT_PI
-        return bound_report("form-eigenvalue-floor", lam - floor, 1e-10)
-
-    reports.append(_timed(eigen_floor))
-
-    def eigen_monotone():
-        lams = [
-            smallest_form_eigenvalue(SpatialGrid.uniform(0.0, L, 17))
-            for L in (0.5, 1.0, 2.0, 3.0)
-        ]
-        slack = [a - b for a, b in zip(lams, lams[1:])]
-        return bound_report("form-eigenvalue-monotone", slack, 1e-10)
-
-    reports.append(_timed(eigen_monotone))
-
-    def qf_mc():
-        f = StepFunction(np.array(_QF_BREAKPOINTS), np.array(_QF_COEFFS))
-        expected = quadratic_form_Q(f)
+    def _local_times(self, tag: str, process_tag: str, interval: tuple) -> MCResult:
         task = partial(
-            weighted_increment_square,
-            points=_QF_BREAKPOINTS[1:],
-            coeffs=_QF_COEFFS,
-            interval=(0.0, 2.0),
+            local_time_replicate,
+            process_tag=process_tag,
+            n=self.config.grid_points,
+            interval=interval,
+            z=self.config.z,
+            schedule=self.config.epsilon_schedule,
         )
-        res = run_replicates(
-            task,
-            replicates=min(100_000, 2 * config.replicates),
-            master_seed=derive_master(config.master_seed, "qf-mc"),
-            jobs=config.jobs,
-        )
-        return two_sided_report(
-            "quadratic-form-mc",
-            float(res.mean[0]),
-            expected,
-            0.0,
-            standard_error=float(res.stderr[0]),
-            insufficient=config.replicates < 2,
-        )
+        return self.run(tag, task, self.config.replicates)
 
-    reports.append(_timed(qf_mc))
-    return reports
+    @cached_property
+    def bridge(self) -> MCResult:
+        return self._local_times("mc-bridge", "bridge", (0.0, 1.0))
+
+    @cached_property
+    def heat_short(self) -> MCResult:
+        return self._local_times("mc-heat-short", "heat", self.config.interval)
+
+    @cached_property
+    def heat_long(self) -> MCResult:
+        return self._local_times("mc-heat-long", "heat", LONG_INTERVAL)
+
+    @cached_property
+    def motion(self) -> MCResult:
+        task = partial(
+            motion_endpoint_replicate,
+            n=self.config.grid_points,
+            z=self.config.z,
+            extra_eps=self.extra_eps,
+        )
+        return self.run("mc-motion", task, self.config.replicates, return_raw=True)
+
+    @cached_property
+    def exp_bridge(self) -> float:
+        return expected_smoothed_local_time("bridge", self.config.z, self.eps_star)
+
+    @cached_property
+    def bridge_q2(self) -> float:
+        return second_moment_via_density("bridge", self.config.z, self.eps_star, self.eps_star)
+
+    @cached_property
+    def exp_window(self) -> float:
+        return expected_motion_local_time_in_window(self.extra_eps, _WINDOW)
+
+    # estimates as (value, standard error); None for the error means too few draws
+
+    @cached_property
+    def bridge_mean(self) -> tuple[float, float]:
+        return float(self.bridge.mean[self.k - 1]), float(self.bridge.stderr[self.k - 1])
+
+    @cached_property
+    def bridge_m2(self) -> tuple[float, float]:
+        res, i = self.bridge, self.k - 1
+        var = max(float(res.m4[i] - res.m2[i] ** 2), 0.0)
+        return float(res.m2[i]), float(np.sqrt(var / res.n)) if res.n > 1 else 0.0
+
+    @cached_property
+    def window_mean(self) -> tuple[float, float | None]:
+        # V at extra_eps on the replicates whose endpoint lies in the window
+        raw = self.motion.raw
+        sample = raw[:, 0][np.abs(raw[:, 1]) < _WINDOW]
+        if sample.size < 2:
+            return 0.0, None
+        return float(np.mean(sample)), float(np.std(sample, ddof=1) / np.sqrt(sample.size))
 
 
 # ---------------------------------------------------------------------------
-# gram block
+# builders: module-level functions from the inputs (and a claim's params) to
+# the numbers of its report
 
 
-def gram_reports(config: RunConfig) -> list[SuiteReport]:
-    reports: list[SuiteReport] = []
-    rng = SeedSpec(derive_master(config.master_seed, "gram-sweep")).rng()
+def _sweep_bound(inputs: _Inputs, which: int):
+    return float(np.min(inputs.sweeps[which])), 1e-8
 
-    def projection_sweep():
-        worst = 0.0
-        for _ in range(_GRAM_SWEEP):
-            dim = int(rng.integers(2, 9))
-            n_basis = int(rng.integers(1, min(5, dim - 1) + 1))
-            # keep the appended family independent: k + n_basis <= dim
-            k = int(rng.integers(1, min(6 - n_basis, dim - n_basis) + 1))
-            basis = VectorFamily(
-                orthonormalize(rng.standard_normal((n_basis, dim)))[:n_basis]
-            )
-            g = VectorFamily(rng.standard_normal((k, dim)))
-            lhs, rhs = projection_identity_values(g, basis)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
-        return two_sided_report("gram-projection-sweep", worst, 0.0, 1e-8)
 
-    reports.append(_timed(projection_sweep))
+def _dual_route(inputs: _Inputs):
+    sample = inputs.step_functions[:_DUAL_ROUTE_SIZE] + [
+        StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+    ]
+    worst = 0.0
+    for f in sample:
+        a = quadratic_form_Q(f)
+        b = quadratic_form_Q_spectral(f)
+        worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
+    return worst, 0.0, 1e-6
 
-    def invertible_sweep():
-        worst = np.inf
-        for _ in range(_GRAM_SWEEP):
-            dim = int(rng.integers(1, 7))
-            count = int(rng.integers(1, dim + 1))
+
+def _eigen_floor(inputs: _Inputs):
+    lam = smallest_form_eigenvalue(SpatialGrid.uniform(0.0, 1.0, 17))
+    return lam - (1.0 - 1.0 / TWO_SQRT_PI), 1e-10
+
+
+def _eigen_monotone(inputs: _Inputs):
+    lams = [
+        smallest_form_eigenvalue(SpatialGrid.uniform(0.0, L, 17)) for L in (0.5, 1.0, 2.0, 3.0)
+    ]
+    return [a - b for a, b in zip(lams, lams[1:])], 1e-10
+
+
+def _quadratic_form_mc(inputs: _Inputs):
+    f = StepFunction(np.array(_QF_BREAKPOINTS), np.array(_QF_COEFFS))
+    expected = quadratic_form_Q(f)
+    task = partial(
+        weighted_increment_square,
+        points=_QF_BREAKPOINTS[1:],
+        coeffs=_QF_COEFFS,
+        interval=(0.0, 2.0),
+    )
+    res = inputs.run("qf-mc", task, min(100_000, 2 * inputs.config.replicates))
+    return float(res.mean[0]), expected, 0.0, float(res.stderr[0])
+
+
+def _projection_sweep(inputs: _Inputs):
+    rng = inputs.gram_rng
+    worst = 0.0
+    for _ in range(_GRAM_SWEEP):
+        dim = int(rng.integers(2, 9))
+        n_basis = int(rng.integers(1, min(5, dim - 1) + 1))
+        # keep the appended family independent: k + n_basis <= dim
+        k = int(rng.integers(1, min(6 - n_basis, dim - n_basis) + 1))
+        basis = VectorFamily(orthonormalize(rng.standard_normal((n_basis, dim)))[:n_basis])
+        g = VectorFamily(rng.standard_normal((k, dim)))
+        lhs, rhs = projection_identity_values(g, basis)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
+    return worst, 0.0, 1e-8
+
+
+def _invertible_sweep(inputs: _Inputs):
+    rng = inputs.gram_rng
+    worst = np.inf
+    for _ in range(_GRAM_SWEEP):
+        dim = int(rng.integers(1, 7))
+        count = int(rng.integers(1, dim + 1))
+        matrix = rng.standard_normal((dim, dim))
+        while np.linalg.svd(matrix, compute_uv=False)[-1] <= 1e-8:
             matrix = rng.standard_normal((dim, dim))
-            while np.linalg.svd(matrix, compute_uv=False)[-1] <= 1e-8:
-                matrix = rng.standard_normal((dim, dim))
-            family = VectorFamily(rng.standard_normal((count, dim)))
-            lhs, rhs = invertible_gram_values(matrix, family)
-            worst = min(worst, lhs - rhs)
-        return bound_report("invertible-gram-sweep", float(worst), 1e-10)
-
-    reports.append(_timed(invertible_sweep))
-
-    def indicator_discretization():
-        cells = 1024
-        grid = CellGrid(cells, (0.0, 1.0))
-        worst = 0.0
-        for _ in range(_INDICATOR_SWEEP):
-            k = int(rng.integers(1, 6))
-            # snap times to cell boundaries (the representation is exact
-            # there) and keep gaps of at least 8 cells for conditioning
-            while True:
-                idx = np.sort(rng.choice(np.arange(8, cells + 1), size=k, replace=False))
-                if k == 1 or int(np.min(np.diff(idx))) >= 8:
-                    break
-            times = idx / cells
-            exact = gram_indicators(times, 0.0)
-            rows = np.stack([grid.indicator(float(t)) for t in times])
-            disc = gram_det(VectorFamily(rows))
-            worst = max(worst, abs(disc - exact) / exact)
-        return two_sided_report("gram-indicator-discretization", worst, 0.0, 1e-6)
-
-    reports.append(_timed(indicator_discretization))
-
-    def extension_probe():
-        cells = 1024
-        grid = CellGrid(cells, (0.0, 1.0))
-        step_vec = grid.discretize(lambda u: np.where(u < 0.5, 1.0, -1.0))
-        step_basis = VectorFamily(orthonormalize(step_vec[None, :]))
-        s1 = step_basis.vectors[0]
-        smooth_raw = grid.discretize(lambda u: u - 0.5)
-        resid = smooth_raw - float(np.dot(smooth_raw, s1)) * s1
-        smooth_basis = VectorFamily(orthonormalize(resid[None, :]))
-        tuples = []
-        for _ in range(_EXTENSION_SWEEP):
-            k = int(rng.integers(1, 4))
-            while True:
-                times = np.sort(rng.uniform(0.05, 0.95, size=k))
-                if k == 1 or float(np.min(np.diff(times))) >= 0.02:
-                    break
-            tuples.append(times)
-        ratio = probe_basis_extension_ratio(step_basis, smooth_basis, tuples, grid)
-        return bound_report("basis-extension-ratio", ratio - 1e-12, 0.0)
-
-    reports.append(_timed(extension_probe))
-    reports.append(_timed(check_simplex_partition))
-    return reports
+        family = VectorFamily(rng.standard_normal((count, dim)))
+        lhs, rhs = invertible_gram_values(matrix, family)
+        worst = min(worst, lhs - rhs)
+    return float(worst), 1e-10
 
 
-# ---------------------------------------------------------------------------
-# moments block
+def _indicator_discretization(inputs: _Inputs):
+    rng = inputs.gram_rng
+    cells = 1024
+    grid = CellGrid(cells, (0.0, 1.0))
+    worst = 0.0
+    for _ in range(_INDICATOR_SWEEP):
+        k = int(rng.integers(1, 6))
+        # snap times to cell boundaries (the representation is exact
+        # there) and keep gaps of at least 8 cells for conditioning
+        while True:
+            idx = np.sort(rng.choice(np.arange(8, cells + 1), size=k, replace=False))
+            if k == 1 or int(np.min(np.diff(idx))) >= 8:
+                break
+        times = idx / cells
+        exact = gram_indicators(times, 0.0)
+        rows = np.stack([grid.indicator(float(t)) for t in times])
+        disc = gram_det(VectorFamily(rows))
+        worst = max(worst, abs(disc - exact) / exact)
+    return worst, 0.0, 1e-6
 
 
-def moment_reports(config: RunConfig) -> list[SuiteReport]:
-    reports: list[SuiteReport] = []
-
-    def simplex_k(k: int):
-        if k <= 2:
-            value, _ = dirichlet_simplex_integral(k)
-            observed = bridge_moment_from_simplex(k, value)
-            expected = bridge_moment_exact(k)
-            tol = (1e-6 if k == 1 else 1e-4) * expected
-            return two_sided_report(
-                f"bridge-moment-simplex-k{k}", observed, expected, tol
-            )
-        samples = min(10_000_000, max(100_000, 200 * config.replicates))
-        value, err = dirichlet_simplex_integral(k, samples=samples)
-        observed = bridge_moment_from_simplex(k, value)
-        scale = bridge_moment_from_simplex(k, 1.0)
-        return two_sided_report(
-            f"bridge-moment-simplex-k{k}",
-            observed,
-            bridge_moment_exact(k),
-            0.0,
-            standard_error=err * scale,
-            insufficient=config.replicates < 2,
-        )
-
-    for k in (1, 2, 3):
-        reports.append(_timed(partial(simplex_k, k)))
-
-    def conditional_identity():
-        worst = 0.0
-        for k in range(1, 13):
-            worst = max(
-                worst, abs(conditional_moment(k) / bridge_moment_exact(k) - 1.0)
-            )
-        return two_sided_report("conditional-moment-identity", worst, 0.0, 1e-6)
-
-    reports.append(_timed(conditional_identity))
-
-    def levy_norm():
-        return two_sided_report(
-            "levy-density-normalization", levy_density_normalization(), 1.0, 1e-8
-        )
-
-    reports.append(_timed(levy_norm))
-    return reports
+def _extension_probe(inputs: _Inputs):
+    rng = inputs.gram_rng
+    grid = CellGrid(1024, (0.0, 1.0))
+    step_vec = grid.discretize(lambda u: np.where(u < 0.5, 1.0, -1.0))
+    step_basis = VectorFamily(orthonormalize(step_vec[None, :]))
+    s1 = step_basis.vectors[0]
+    smooth_raw = grid.discretize(lambda u: u - 0.5)
+    resid = smooth_raw - float(np.dot(smooth_raw, s1)) * s1
+    smooth_basis = VectorFamily(orthonormalize(resid[None, :]))
+    tuples = []
+    for _ in range(_EXTENSION_SWEEP):
+        k = int(rng.integers(1, 4))
+        while True:
+            times = np.sort(rng.uniform(0.05, 0.95, size=k))
+            if k == 1 or float(np.min(np.diff(times))) >= 0.02:
+                break
+        tuples.append(times)
+    ratio = probe_basis_extension_ratio(step_basis, smooth_basis, tuples, grid)
+    return ratio - 1e-12, 0.0
 
 
-# ---------------------------------------------------------------------------
-# covariance block
+def _simplex_partition(inputs: _Inputs):
+    blocks, whole = check_simplex_partition()
+    return blocks, whole, 1e-5 * abs(whole)
+
+
+def _simplex_moment(inputs: _Inputs, k: int):
+    if k <= 2:
+        value, _ = dirichlet_simplex_integral(k)
+        expected = bridge_moment_exact(k)
+        tol = (1e-6 if k == 1 else 1e-4) * expected
+        return bridge_moment_from_simplex(k, value), expected, tol
+    samples = min(10_000_000, max(100_000, 200 * inputs.config.replicates))
+    value, err = dirichlet_simplex_integral(k, samples=samples)
+    observed = bridge_moment_from_simplex(k, value)
+    scale = bridge_moment_from_simplex(k, 1.0)
+    return observed, bridge_moment_exact(k), 0.0, err * scale
+
+
+def _conditional_identity(inputs: _Inputs):
+    worst = 0.0
+    for k in range(1, 13):
+        worst = max(worst, abs(conditional_moment(k) / bridge_moment_exact(k) - 1.0))
+    return worst, 0.0, 1e-6
+
+
+def _levy_normalization(inputs: _Inputs):
+    return levy_density_normalization(), 1.0, 1e-8
 
 
 def _cov_and_se(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,308 +393,214 @@ def _cov_and_se(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, se
 
 
-def covariance_reports(config: RunConfig) -> list[SuiteReport]:
-    reports: list[SuiteReport] = []
+def _closed_form(inputs: _Inputs):
+    ds = np.linspace(0.0, 6.0, 20)
+    worst = max(
+        abs(covariance_R_quadrature(float(d)) - float(covariance_R(float(d)))) for d in ds
+    )
+    return worst, 0.0, 1e-8
 
-    def closed_form():
-        ds = np.linspace(0.0, 6.0, 20)
-        worst = max(
-            abs(covariance_R_quadrature(float(d)) - float(covariance_R(float(d))))
-            for d in ds
-        )
-        return two_sided_report("covariance-closed-form", worst, 0.0, 1e-8)
 
-    reports.append(_timed(closed_form))
+def _agreement(inputs: _Inputs):
+    kw = {"points": _AGREE_POINTS, "interval": (0.0, 2.0)}
+    reps = inputs.config.replicates
+    res_path = inputs.run(
+        "sim-path", partial(path_increment_replicate, **kw), 4 * reps, return_raw=True
+    )
+    res_sheet = inputs.run(
+        "sim-sheet", partial(sheet_increment_replicate, **kw), max(2, reps // 5), return_raw=True
+    )
+    mean_z = np.abs(res_path.mean - res_sheet.mean) / np.sqrt(
+        res_path.stderr**2 + res_sheet.stderr**2
+    )
+    cov_p, se_p = _cov_and_se(res_path.raw)
+    cov_s, se_s = _cov_and_se(res_sheet.raw)
+    cov_z = np.abs(cov_p - cov_s) / np.sqrt(se_p**2 + se_s**2)
+    iu = np.triu_indices(len(_AGREE_POINTS))
+    return max(float(np.max(mean_z)), float(np.max(cov_z[iu]))), 0.0, 4.0
 
-    def agreement():
-        interval = (0.0, 2.0)
-        path_task = partial(
-            path_increment_replicate, points=_AGREE_POINTS, interval=interval
-        )
-        sheet_task = partial(
-            sheet_increment_replicate, points=_AGREE_POINTS, interval=interval
-        )
-        res_path = run_replicates(
-            path_task,
-            replicates=4 * config.replicates,
-            master_seed=derive_master(config.master_seed, "sim-path"),
-            jobs=config.jobs,
-            return_raw=True,
-        )
-        res_sheet = run_replicates(
-            sheet_task,
-            replicates=max(2, config.replicates // 5),
-            master_seed=derive_master(config.master_seed, "sim-sheet"),
-            jobs=config.jobs,
-            return_raw=True,
-        )
-        mean_z = np.abs(res_path.mean - res_sheet.mean) / np.sqrt(
-            res_path.stderr**2 + res_sheet.stderr**2
-        )
-        cov_p, se_p = _cov_and_se(res_path.raw)
-        cov_s, se_s = _cov_and_se(res_sheet.raw)
-        cov_z = np.abs(cov_p - cov_s) / np.sqrt(se_p**2 + se_s**2)
-        iu = np.triu_indices(len(_AGREE_POINTS))
-        worst = max(float(np.max(mean_z)), float(np.max(cov_z[iu])))
-        return two_sided_report(
-            "simulator-agreement",
-            worst,
-            0.0,
-            4.0,
-            insufficient=config.replicates < 2,
-        )
 
-    reports.append(_timed(agreement))
+def _sheet_bias(inputs: _Inputs):
+    op = build_sheet_operator(SpatialGrid(np.array(_AGREE_POINTS), (0.0, 2.0)))
+    deficits = covariance_R(0.0) - op.field_variance()
+    bias = sheet_variance_bias(op.delta)
+    return tuple(float(d) for d in deficits), (bias,) * deficits.size, 1e-9
 
-    def sheet_bias():
-        grid = SpatialGrid(np.array(_AGREE_POINTS), (0.0, 2.0))
-        op = build_sheet_operator(grid)
-        deficits = covariance_R(0.0) - op.field_variance()
-        bias = sheet_variance_bias(op.delta)
-        return two_sided_report(
-            "sheet-variance-bias",
-            tuple(float(d) for d in deficits),
-            (bias,) * deficits.size,
-            1e-9,
-        )
 
-    reports.append(_timed(sheet_bias))
-    return reports
+def _estimate(inputs: _Inputs, estimate: str, reference: str):
+    """A sampled estimate against its quadrature reference."""
+    value, se = getattr(inputs, estimate)
+    expected = getattr(inputs, reference)
+    if se is None:
+        raise _TooFewDraws(0.0, expected, 0.0)
+    return value, expected, 0.0, se
+
+
+def _value(inputs: _Inputs, estimate: str, reference: str, order: int, rel_tol: float):
+    """An estimate, bias-normalised by its reference, against the eps -> 0 moment."""
+    value, se = getattr(inputs, estimate)
+    exact = bridge_moment_exact(order)
+    if se is None:
+        raise _TooFewDraws(0.0, exact, rel_tol * exact)
+    factor = (bridge_moment_exact(1) / getattr(inputs, reference)) ** order
+    return value * factor, exact, rel_tol * exact, se * factor
+
+
+def _heat_mean(inputs: _Inputs, long: bool):
+    res = inputs.heat_long if long else inputs.heat_short
+    interval = LONG_INTERVAL if long else inputs.config.interval
+    expected = expected_smoothed_local_time("heat", inputs.config.z, inputs.eps_star, interval)
+    k = inputs.k
+    return float(res.mean[k - 1]), expected, 0.0, float(res.stderr[k - 1])
+
+
+def _second_moment_monotone(inputs: _Inputs):
+    z = inputs.config.z
+    values = [
+        second_moment_via_density("bridge", z, e, e) for e in inputs.config.epsilon_schedule[:4]
+    ]
+    # epsilon decreases along the schedule, so the values must rise
+    return [b - a for a, b in zip(values, values[1:])], 1e-10
+
+
+def _endpoint_moments(inputs: _Inputs):
+    w1 = inputs.motion.raw[:, 1]
+    n = w1.size
+    if n < 2:
+        return 0.0, 0.0, 4.0
+    # z-scores of the first, second and fourth moments against 0, 1 and 3
+    worst = max(
+        abs(float(np.mean(w1**p)) - m) / float(np.std(w1**p, ddof=1) / np.sqrt(n))
+        for p, m in ((1, 0.0), (2, 1.0), (4, 3.0))
+    )
+    return worst, 0.0, 4.0
+
+
+def _cauchy(inputs: _Inputs, family: str):
+    gaps = [float(g) for g in getattr(inputs, family).mean[inputs.k :]]
+    return [a - b for a, b in zip(gaps, gaps[1:])], 0.0
 
 
 # ---------------------------------------------------------------------------
-# local-time block
+# the registry and its runner
 
 
-def _moment_se(res, index: int) -> float:
-    """Standard error of the second raw moment of one output coordinate."""
-    n = res.n
-    if n < 2:
-        return 0.0
-    var = max(float(res.m4[index] - res.m2[index] ** 2), 0.0)
-    return float(np.sqrt(var / n))
+@dataclass(frozen=True)
+class Claim:
+    """One claim: ``build(inputs, *params)`` returns the numbers of its report.
+
+    A two-sided builder returns (observed, expected, tolerance) and, for a
+    Monte Carlo claim, the standard error; a bound builder returns (slack,
+    tolerance).  A sampled claim reports insufficient power below two
+    replicates.
+    """
+
+    claim_id: str
+    block: str
+    kind: str
+    sampled: bool
+    build: Callable[..., tuple]
+    params: tuple = ()
+
+
+def _claims(block: str, *rows) -> tuple[Claim, ...]:
+    """Claims of one block from (id, kind, sampled, builder, *params) rows."""
+    return tuple(
+        Claim(claim_id, block, kind, sampled, build, tuple(params))
+        for claim_id, kind, sampled, build, *params in rows
+    )
+
+
+CLAIMS: tuple[Claim, ...] = (
+    *_claims(
+        "spectral",
+        ("integrator-upper-bound-sweep", BOUND, False, _sweep_bound, 0),
+        ("coercivity-lower-bound-sweep", BOUND, False, _sweep_bound, 1),
+        ("convolution-upper-bound-sweep", BOUND, False, _sweep_bound, 2),
+        ("spectral-dual-route", TWO_SIDED, False, _dual_route),
+        ("form-eigenvalue-floor", BOUND, False, _eigen_floor),
+        ("form-eigenvalue-monotone", BOUND, False, _eigen_monotone),
+        ("quadratic-form-mc", TWO_SIDED, True, _quadratic_form_mc),
+    ),
+    *_claims(
+        "gram",
+        ("gram-projection-sweep", TWO_SIDED, False, _projection_sweep),
+        ("invertible-gram-sweep", BOUND, False, _invertible_sweep),
+        ("gram-indicator-discretization", TWO_SIDED, False, _indicator_discretization),
+        ("basis-extension-ratio", BOUND, False, _extension_probe),
+        ("simplex-partition-additivity", TWO_SIDED, False, _simplex_partition),
+    ),
+    *_claims(
+        "moments",
+        ("bridge-moment-simplex-k1", TWO_SIDED, False, _simplex_moment, 1),
+        ("bridge-moment-simplex-k2", TWO_SIDED, False, _simplex_moment, 2),
+        ("bridge-moment-simplex-k3", TWO_SIDED, True, _simplex_moment, 3),
+        ("conditional-moment-identity", TWO_SIDED, False, _conditional_identity),
+        ("levy-density-normalization", TWO_SIDED, False, _levy_normalization),
+    ),
+    *_claims(
+        "covariance",
+        ("covariance-closed-form", TWO_SIDED, False, _closed_form),
+        ("simulator-agreement", TWO_SIDED, True, _agreement),
+        ("sheet-variance-bias", TWO_SIDED, False, _sheet_bias),
+    ),
+    *_claims(
+        "localtime",
+        ("local-time-mean-bridge", TWO_SIDED, True, _estimate, "bridge_mean", "exp_bridge"),
+        ("bridge-mean-value", TWO_SIDED, True, _value, "bridge_mean", "exp_bridge", 1, 0.05),
+        ("local-time-mean-heat-short", TWO_SIDED, True, _heat_mean, False),
+        ("local-time-mean-heat-long", TWO_SIDED, True, _heat_mean, True),
+        ("bridge-second-moment", TWO_SIDED, True, _estimate, "bridge_m2", "bridge_q2"),
+        ("bridge-second-moment-value", TWO_SIDED, True, _value, "bridge_m2", "exp_bridge", 2, 0.10),
+        ("second-moment-monotone", BOUND, False, _second_moment_monotone),
+        ("motion-endpoint-moments", TWO_SIDED, True, _endpoint_moments),
+        ("levy-conditional-mean", TWO_SIDED, True, _estimate, "window_mean", "exp_window"),
+        ("levy-conditional-value", TWO_SIDED, True, _value, "window_mean", "exp_window", 1, 0.05),
+        ("cauchy-monotone-bridge", BOUND, True, _cauchy, "bridge"),
+        ("cauchy-monotone-heat-short", BOUND, True, _cauchy, "heat_short"),
+        ("cauchy-monotone-heat-long", BOUND, True, _cauchy, "heat_long"),
+    ),
+)
+
+
+def _report(claim: Claim, inputs: _Inputs) -> SuiteReport:
+    """Build, time and report one claim, applying the insufficient-power rule."""
+    t0 = time.perf_counter()
+    insufficient = claim.sampled and inputs.config.replicates < 2
+    try:
+        numbers = claim.build(inputs, *claim.params)
+    except _TooFewDraws as short:
+        numbers, insufficient = short.args, True
+    make = two_sided_report if claim.kind == TWO_SIDED else bound_report
+    report = make(claim.claim_id, *numbers, insufficient=insufficient)
+    report.runtime_ms = (time.perf_counter() - t0) * 1e3
+    return report
+
+
+def _run_block(block: str, config: RunConfig) -> list[SuiteReport]:
+    inputs = _Inputs(config)
+    return [_report(claim, inputs) for claim in CLAIMS if claim.block == block]
+
+
+def spectral_reports(config: RunConfig) -> list[SuiteReport]:
+    return _run_block("spectral", config)
+
+
+def gram_reports(config: RunConfig) -> list[SuiteReport]:
+    return _run_block("gram", config)
+
+
+def moment_reports(config: RunConfig) -> list[SuiteReport]:
+    return _run_block("moments", config)
+
+
+def covariance_reports(config: RunConfig) -> list[SuiteReport]:
+    return _run_block("covariance", config)
 
 
 def localtime_reports(config: RunConfig) -> list[SuiteReport]:
-    """Local-time claims.
-
-    Each Monte Carlo family and each shared quadrature is computed on first
-    use, inside the first claim that reads it, and cached for the later
-    ones; so every claim's runtime includes the work it triggers.  Each
-    family draws from its own derived seed, so the order they run in does
-    not affect any value.
-    """
-    reports: list[SuiteReport] = []
-    sched = config.epsilon_schedule
-    k = len(sched)
-    eps_star = sched[-1]
-    z = config.z
-    insuff = config.replicates < 2
-    exact1 = bridge_moment_exact(1)
     _check_suite_config(config)
-    long_interval = LONG_INTERVAL
-
-    def family_run(tag: str, process_tag: str, interval: tuple):
-        task = partial(
-            local_time_replicate,
-            process_tag=process_tag,
-            n=config.grid_points,
-            interval=interval,
-            z=z,
-            schedule=sched,
-        )
-        return run_replicates(
-            task,
-            replicates=config.replicates,
-            master_seed=derive_master(config.master_seed, tag),
-            jobs=config.jobs,
-        )
-
-    res_bridge = cache(partial(family_run, "mc-bridge", "bridge", (0.0, 1.0)))
-    res_heat_short = cache(partial(family_run, "mc-heat-short", "heat", config.interval))
-    res_heat_long = cache(partial(family_run, "mc-heat-long", "heat", long_interval))
-    extra_eps = max(5e-4, bandwidth_floor(1.0, config.grid_points))
-
-    @cache
-    def res_motion():
-        motion_task = partial(
-            motion_endpoint_replicate,
-            n=config.grid_points,
-            z=z,
-            extra_eps=extra_eps,
-        )
-        return run_replicates(
-            motion_task,
-            replicates=config.replicates,
-            master_seed=derive_master(config.master_seed, "mc-motion"),
-            jobs=config.jobs,
-            return_raw=True,
-        )
-
-    exp_bridge = cache(partial(expected_smoothed_local_time, "bridge", z, eps_star))
-
-    def mean_bridge():
-        res = res_bridge()
-        return two_sided_report(
-            "local-time-mean-bridge",
-            float(res.mean[k - 1]),
-            exp_bridge(),
-            0.0,
-            standard_error=float(res.stderr[k - 1]),
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(mean_bridge))
-
-    def mean_bridge_value():
-        res = res_bridge()
-        factor = exact1 / exp_bridge()
-        return two_sided_report(
-            "bridge-mean-value",
-            float(res.mean[k - 1]) * factor,
-            exact1,
-            0.05 * exact1,
-            standard_error=float(res.stderr[k - 1]) * factor,
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(mean_bridge_value))
-
-    def mean_heat(tag: str, family, interval):
-        res = family()
-        expected = expected_smoothed_local_time("heat", z, eps_star, interval)
-        return two_sided_report(
-            tag,
-            float(res.mean[k - 1]),
-            expected,
-            0.0,
-            standard_error=float(res.stderr[k - 1]),
-            insufficient=insuff,
-        )
-
-    reports.append(
-        _timed(partial(mean_heat, "local-time-mean-heat-short", res_heat_short, config.interval))
-    )
-    reports.append(
-        _timed(partial(mean_heat, "local-time-mean-heat-long", res_heat_long, (0.0, 5.0)))
-    )
-
-    def second_moment():
-        res = res_bridge()
-        return two_sided_report(
-            "bridge-second-moment",
-            float(res.m2[k - 1]),
-            second_moment_via_density("bridge", z, eps_star, eps_star),
-            0.0,
-            standard_error=_moment_se(res, k - 1),
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(second_moment))
-
-    def second_moment_value():
-        res = res_bridge()
-        factor = (exact1 / exp_bridge()) ** 2
-        return two_sided_report(
-            "bridge-second-moment-value",
-            float(res.m2[k - 1]) * factor,
-            bridge_moment_exact(2),
-            0.10 * bridge_moment_exact(2),
-            standard_error=_moment_se(res, k - 1) * factor,
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(second_moment_value))
-
-    def second_moment_monotone():
-        eps_grid = sched[: min(4, k)]
-        values = [
-            second_moment_via_density("bridge", z, e, e) for e in eps_grid
-        ]
-        # epsilon decreases along the schedule, so the values must rise
-        slack = [b - a for a, b in zip(values, values[1:])]
-        return bound_report("second-moment-monotone", slack, 1e-10)
-
-    reports.append(_timed(second_moment_monotone))
-
-    def endpoint_moments():
-        w1 = res_motion().raw[:, 1]
-        n = w1.size
-        m1 = float(np.mean(w1))
-        m2 = float(np.mean(w1**2))
-        m4 = float(np.mean(w1**4))
-        if n < 2:
-            return two_sided_report(
-                "motion-endpoint-moments", 0.0, 0.0, 4.0, insufficient=True
-            )
-        se1 = float(np.std(w1, ddof=1) / np.sqrt(n))
-        se2 = float(np.std(w1**2, ddof=1) / np.sqrt(n))
-        se4 = float(np.std(w1**4, ddof=1) / np.sqrt(n))
-        worst = max(abs(m1) / se1, abs(m2 - 1.0) / se2, abs(m4 - 3.0) / se4)
-        return two_sided_report(
-            "motion-endpoint-moments", worst, 0.0, 4.0, insufficient=insuff
-        )
-
-    reports.append(_timed(endpoint_moments))
-
-    window = 0.1
-    exp_window = cache(partial(expected_motion_local_time_in_window, extra_eps, window))
-
-    def windowed_sample():
-        # V at extra_eps on the replicates whose endpoint lies in the window
-        raw = res_motion().raw
-        return raw[:, 0][np.abs(raw[:, 1]) < window]
-
-    def conditional_mean():
-        sample = windowed_sample()
-        m = sample.size
-        if m < 2:
-            return two_sided_report(
-                "levy-conditional-mean", 0.0, exp_window(), 0.0, insufficient=True
-            )
-        cmean = float(np.mean(sample))
-        cse = float(np.std(sample, ddof=1) / np.sqrt(m))
-        return two_sided_report(
-            "levy-conditional-mean",
-            cmean,
-            exp_window(),
-            0.0,
-            standard_error=cse,
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(conditional_mean))
-
-    def conditional_value():
-        sample = windowed_sample()
-        m = sample.size
-        if m < 2:
-            return two_sided_report(
-                "levy-conditional-value", 0.0, exact1, 0.05 * exact1, insufficient=True
-            )
-        factor = exact1 / exp_window()
-        cmean = float(np.mean(sample)) * factor
-        cse = float(np.std(sample, ddof=1) / np.sqrt(m)) * factor
-        return two_sided_report(
-            "levy-conditional-value",
-            cmean,
-            exact1,
-            0.05 * exact1,
-            standard_error=cse,
-            insufficient=insuff,
-        )
-
-    reports.append(_timed(conditional_value))
-
-    def cauchy(tag: str, family):
-        gaps = [float(g) for g in family().mean[k:]]
-        slack = [a - b for a, b in zip(gaps, gaps[1:])]
-        return bound_report(tag, slack, 0.0, insufficient=insuff)
-
-    reports.append(_timed(partial(cauchy, "cauchy-monotone-bridge", res_bridge)))
-    reports.append(_timed(partial(cauchy, "cauchy-monotone-heat-short", res_heat_short)))
-    reports.append(_timed(partial(cauchy, "cauchy-monotone-heat-long", res_heat_long)))
-    return reports
+    return _run_block("localtime", config)
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,8 @@ def test_simplex_order_guard():
 
 
 def test_partition_additivity_report():
-    rep = check_simplex_partition()
-    assert rep.status == "pass"
-    assert rep.claim_id == "simplex-partition-additivity"
+    blocks, whole = check_simplex_partition()
+    assert abs(blocks - whole) <= 1e-5 * abs(whole)
 
 
 def test_cell_grid_indicator_inner_products_exact_on_boundaries():

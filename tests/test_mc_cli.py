@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import pickle
 from functools import partial
 
@@ -47,6 +48,10 @@ def failing_task(seed):
     if seed.replicate_index == 7:
         raise ValueError("boom")
     return np.array([0.0])
+
+
+def dying_task(seed, **kwargs):
+    os._exit(3)
 
 
 def test_constant_task_has_unit_mean_zero_stderr():
@@ -188,8 +193,9 @@ def test_derive_master_is_stable_and_tag_sensitive():
 def test_report_csv_roundtrip_exact():
     reports = [
         two_sided_report("claim-a", 1.234567890123456789, 1.2, 0.1, standard_error=0.01),
-        bound_report("claim-b", [0.5, -1e-12, 2.0], 1e-9, runtime_ms=3.25),
+        bound_report("claim-b", [0.5, -1e-12, 2.0], 1e-9),
     ]
+    reports[1].runtime_ms = 3.25
     text = reports_to_csv(reports)
     back = reports_from_csv(text)
     assert back == reports
@@ -476,3 +482,30 @@ def test_cli_verify_nonzero_level_exits_two_before_any_work(forbid_in_verify, ca
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("configuration error:")
+
+
+_LOCALTIME_ARGV = ["localtime", "--process", "bridge", "--reps", "2048", "--grid", "256",
+                   "--eps", "0.08", "--jobs", "2"]
+
+
+def _assert_one_line_error(capsys, name: str) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {name}")
+
+
+def test_cli_dead_worker_exits_two(monkeypatch, capsys):
+    # a worker that dies takes the pool down: a run error, not a failed claim
+    monkeypatch.setattr(cli, "local_time_replicate", dying_task)
+    assert main(_LOCALTIME_ARGV) == 2
+    _assert_one_line_error(capsys, "BrokenProcessPool")
+
+
+def test_cli_parent_memory_error_exits_two(monkeypatch, capsys):
+    def out_of_memory(task, config):
+        raise MemoryError("cannot allocate the aggregate")
+
+    monkeypatch.setattr(cli, "run_replicates", out_of_memory)
+    assert main(_LOCALTIME_ARGV) == 2
+    _assert_one_line_error(capsys, "MemoryError")

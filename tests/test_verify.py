@@ -1,6 +1,8 @@
 """End-to-end checks of the claim suite at reduced replicate counts."""
 
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from heatlocal import heat_model, local_time, verify
 from heatlocal.errors import ConfigError
 from heatlocal.grids import SpatialGrid
 from heatlocal.gram import bridge_moment_from_simplex, gram_det
-from heatlocal.heat_model import build_sheet_operator, sheet_variance_bias
+from heatlocal.heat_model import build_sheet_operator, covariance_R, sheet_variance_bias
 from heatlocal.mc import RunConfig
 from heatlocal.verify import (
+    CLAIMS,
     covariance_reports,
     exit_code,
     first_failure,
@@ -275,3 +278,99 @@ def test_verify_deterministic_across_jobs():
         assert a.expected == b.expected
         assert a.standard_error == b.standard_error
         assert a.status == b.status
+
+
+FAMILY_TAGS = (
+    "qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short", "mc-heat-long", "mc-motion"
+)
+
+# calls per run of each quadrature the suite reads through heatlocal.verify
+QUADRATURE_CALLS = {
+    "expected_smoothed_local_time": 3,
+    "second_moment_via_density": 5,
+    "expected_motion_local_time_in_window": 1,
+    "covariance_R_quadrature": 20,
+    "dirichlet_simplex_integral": 3,
+}
+
+
+def test_registry_runs_each_family_once_and_each_quadrature_as_needed(monkeypatch):
+    calls = Counter()
+    tags = {verify.derive_master(3, tag): tag for tag in FAMILY_TAGS}
+    run = verify.run_replicates
+
+    def counted_run(task, **kwargs):
+        calls[tags[kwargs["master_seed"]]] += 1
+        return run(task, **kwargs)
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "run_replicates", counted_run)
+    for name in QUADRATURE_CALLS:
+        monkeypatch.setattr(verify, name, counted(name))
+    reports = verify_all(RunConfig(replicates=2, grid_points=4096, master_seed=3))
+    assert tuple(r.claim_id for r in reports) == CLAIM_ORDER
+    assert calls == Counter({tag: 1 for tag in FAMILY_TAGS}) + Counter(QUADRATURE_CALLS)
+
+
+def test_readme_claim_tables_list_the_registry_in_order():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    suite = text.split("## The claim suite", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], []
+    for line in suite.splitlines() + [""]:
+        if line.startswith("| ") and not line.startswith(("| claim |", "| --- |")):
+            rows.append(line.split("|")[1].strip())
+        elif rows:
+            tables.append(rows)
+            rows = []
+    blocks = list(dict.fromkeys(c.block for c in CLAIMS))
+    assert tables == [[c.claim_id for c in CLAIMS if c.block == b] for b in blocks]
+
+
+@pytest.fixture
+def doubled_R(monkeypatch):
+    """Double the covariance R as one module reads it; the heat_model caches are reset."""
+
+    def clear():
+        heat_model._embedding_weights.cache_clear()
+        heat_model._increment_cholesky.cache_clear()
+
+    def double(module):
+        clear()
+        monkeypatch.setattr(module, "covariance_R", lambda d: 2.0 * covariance_R(d))
+
+    yield double
+    monkeypatch.undo()
+    clear()
+
+
+# derived from which claims read R at each site, then observed
+@pytest.mark.parametrize(
+    "module, flipped",
+    [
+        (verify, {"covariance-closed-form", "sheet-variance-bias"}),
+        (
+            heat_model,
+            {
+                "quadratic-form-mc",
+                "simulator-agreement",
+                "local-time-mean-heat-short",
+                "local-time-mean-heat-long",
+            },
+        ),
+        (local_time, {"local-time-mean-heat-short", "local-time-mean-heat-long"}),
+    ],
+    ids=["verify", "heat_model", "local_time"],
+)
+def test_doubled_covariance_flips_exactly_its_readers(doubled_R, module, flipped):
+    doubled_R(module)
+    reports = verify_all(RunConfig(replicates=400, grid_points=4096, master_seed=42))
+    assert {r.claim_id for r in reports if r.status != "pass"} == flipped
+
