@@ -30,7 +30,7 @@ from .errors import (
     OrderViolation,
     UnsupportedOrder,
 )
-from .sampling import SeedSpec, jittered_cholesky
+from .sampling import SeedSpec
 
 DEFAULT_CELLS = 1024
 
@@ -61,17 +61,20 @@ class VectorFamily:
 
 
 def gram_det(family: VectorFamily) -> float:
-    """Gram determinant via jittered Cholesky with log accumulation.
+    """Gram determinant as the squared product of |diag R| of a QR of the rows.
 
-    Exactly singular families come back as order-1e-14 values (the jitter
-    floor), which the callers treat as zero.  Log accumulation keeps
-    determinants of up to eight long vectors away from underflow.
+    QR works on the vectors themselves, so it does not square their
+    condition number as a factorisation of v v^T would (Higham 2002,
+    ch. 19-20).  An exactly dependent family comes back at rounding level,
+    about 1e-30 for unit-scale rows, and a family with more vectors than
+    dimensions as 0.  Log accumulation keeps determinants of up to eight
+    long vectors away from underflow.
     """
     v = family.vectors
-    g = v @ v.T
-    L, _ = jittered_cholesky(0.5 * (g + g.T))
-    diag = np.diag(L)
-    if np.any(diag <= 0.0):
+    if v.shape[0] > v.shape[1]:
+        return 0.0
+    diag = np.abs(np.diag(np.linalg.qr(v.T, mode="r")))
+    if np.any(diag == 0.0):
         return 0.0
     return float(math.exp(2.0 * float(np.sum(np.log(diag)))))
 
@@ -196,8 +199,9 @@ def probe_basis_extension_ratio(
         ind = np.array([cell_grid.indicator(float(t)) for t in np.sort(np.asarray(times))])
         fam_small = VectorFamily(np.vstack([ind, step_basis.vectors]))
         denom = gram_det(fam_small)
-        if denom < 1e-14:
-            raise DegenerateFamily(f"denominator Gram determinant {denom:.3e} < 1e-14")
+        # an exactly dependent family comes back near 1e-30
+        if denom < 1e-20:
+            raise DegenerateFamily(f"denominator Gram determinant {denom:.3e} < 1e-20")
         num = gram_det(VectorFamily(np.vstack([ind, step_basis.vectors, smooth_basis.vectors])))
         best = min(best, num / denom)
     if not np.isfinite(best):

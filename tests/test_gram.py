@@ -37,6 +37,8 @@ def test_gram_det_of_orthogonal_rows_is_product_of_norms():
 def test_gram_det_dependent_rows_collapses():
     fam = VectorFamily(np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert gram_det(fam) < 1e-9
+    # more vectors than dimensions
+    assert gram_det(VectorFamily(np.eye(3)[:, :2])) == 0.0
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -115,13 +117,21 @@ def test_basis_extension_probe_positive_and_degenerate_guard():
         step_basis, smooth_basis, [np.array([0.3, 0.7])], grid
     )
     assert ratio > 0.0
-    with pytest.raises(DegenerateFamily):
-        probe_basis_extension_ratio(
-            step_basis,
-            smooth_basis,
-            [np.array([0.5, 0.5 + 1e-13])],
-            grid,
-        )
+    for times in ([0.5, 0.5 + 1e-13], [0.5, 0.5]):
+        with pytest.raises(DegenerateFamily):
+            probe_basis_extension_ratio(step_basis, smooth_basis, [np.array(times)], grid)
+
+
+def test_gram_det_of_an_exactly_dependent_family_is_at_rounding_level():
+    # sets the DegenerateFamily threshold of probe_basis_extension_ratio,
+    # 1e-20: far above this floor and far below any family the suite draws
+    grid = CellGrid(1024, (0.0, 1.0))
+    step = orthonormalize(grid.discretize(lambda u: np.where(u < 0.5, 1.0, -1.0))[None, :])
+    for t in (0.3, 0.5, 0.9):
+        rows = np.vstack([grid.indicator(t), grid.indicator(t), step])
+        assert gram_det(VectorFamily(rows)) < 1e-28
+    rows = np.vstack([grid.indicator(0.05), grid.indicator(0.07), step])
+    assert gram_det(VectorFamily(rows)) > 1e-5
 
 
 def test_simplex_closed_form_spot_values():
