@@ -22,14 +22,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
 from .local_time import local_time_replicate, path_values, process_interval
-from .mc import (
-    DEFAULT_EPSILON_SCHEDULE,
-    PROCESSES,
-    MCResult,
-    RunConfig,
-    config_dict,
-    run_replicates,
-)
+from .mc import DEFAULT_EPSILON_SCHEDULE, PROCESSES, RunConfig, config_dict, run_replicates
 from .reports import (
     AggregateTable,
     reports_to_csv,
@@ -87,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", parents=[common], help="aggregate path statistics per grid point")
-    sub.add_parser("localtime", parents=[common], help="smoothed local-time aggregates per bandwidth")
+    sub.add_parser(
+        "localtime", parents=[common], help="smoothed local-time aggregates per bandwidth"
+    )
     sub.add_parser("moments", parents=[common], help="moment and density identity claims")
     sub.add_parser("spectral", parents=[common], help="quadratic-form and bound claims")
     sub.add_parser("gram", parents=[common], help="Gram determinant claims")
@@ -111,8 +106,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _moments(res: MCResult, i: int) -> tuple[float, ...]:
-    """(mean, stderr, m2, m3, m4) of output coordinate i."""
+def _moments(res, i: int) -> tuple[float, ...]:
+    """(mean, stderr, m2, m3, m4) of output coordinate i of an MCResult."""
     return tuple(float(col[i]) for col in (res.mean, res.stderr, res.m2, res.m3, res.m4))
 
 

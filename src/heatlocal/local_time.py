@@ -276,7 +276,9 @@ def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
     return x - x[0]
 
 
-def path_values(process_tag: str, seed: SeedSpec, n: int, interval: tuple[float, float]) -> np.ndarray:
+def path_values(
+    process_tag: str, seed: SeedSpec, n: int, interval: tuple[float, float]
+) -> np.ndarray:
     if process_tag == "bridge":
         return bridge_values(seed, n)
     if process_tag == "motion":

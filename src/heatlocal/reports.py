@@ -225,7 +225,9 @@ def report_from_dict(d: dict) -> SuiteReport:
     )
 
 
-def reports_to_json(reports: list[SuiteReport], config: dict | None = None, version: str = "") -> str:
+def reports_to_json(
+    reports: list[SuiteReport], config: dict | None = None, version: str = ""
+) -> str:
     return _to_envelope("reports", [report_to_dict(r) for r in reports], config, version)
 
 
