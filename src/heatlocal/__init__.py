@@ -2,6 +2,8 @@
 
 Submodules:
 
+* ``errors``: the package's exception types, all under ``HeatLocalError``.
+* ``grids``: strictly increasing spatial evaluation grids.
 * ``sampling``: seeded Gaussian sampling primitives (Cholesky, circulant)
   and the covariance-route Brownian bridge kept as a reference sampler.
 * ``heat_model``: the stationary field covariance and two independent

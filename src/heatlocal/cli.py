@@ -12,8 +12,11 @@ output error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
+import uuid
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
@@ -92,15 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        command=args.command,
         interval=tuple(args.interval),
         grid_points=args.grid,
         epsilon_schedule=args.eps,
         replicates=args.reps,
         master_seed=args.seed,
         jobs=args.jobs,
-        output_path=args.out,
-        output_format=args.format,
         z=args.z,
         process=args.process,
     )
@@ -142,27 +142,48 @@ def _localtime_table(config: RunConfig) -> AggregateTable:
     )
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output_path is None:
+def _emit(text: str, path: str | None) -> None:
+    """Write to stdout, or to ``path`` whole or not at all.
+
+    The text goes to a new file beside the target, which is then renamed
+    over it; on any error the new file is removed and an existing target
+    is left as it was.
+    """
+    if path is None:
         sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w") as fh:
+        return
+    path = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    out_dir, name = os.path.split(path)
+    tmp = os.path.join(out_dir, f".{name}.{uuid.uuid4().hex}.tmp")
+    # "x" gives the new file the mode open(path, "w") gives a new file; an
+    # existing target keeps its own mode, as it would under open(path, "w")
+    fh = open(tmp, "x")
+    try:
+        with fh:
             fh.write(text)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _out_problem(path: str | None) -> str | None:
     """Why ``--out`` cannot be written, checked before any work; None if it can."""
     if path is None:
         return None
-    out_dir = os.path.dirname(os.path.abspath(path))
+    out_dir = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(out_dir):
         return f"no directory {out_dir} for --out"
     if os.path.isdir(path):
         return f"--out {path} is a directory"
-    # an existing file is overwritten in place; a new one needs the directory
-    target = path if os.path.exists(path) else out_dir
-    if not os.access(target, os.W_OK):
-        return f"{target} is not writable for --out"
+    # the output is renamed into the directory; an existing file must
+    # also be writable itself
+    for target in (out_dir, path) if os.path.exists(path) else (out_dir,):
+        if not os.access(target, os.W_OK):
+            return f"{target} is not writable for --out"
     return None
 
 
@@ -174,23 +195,23 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    problem = _out_problem(config.output_path)
+    problem = _out_problem(args.out)
     if problem is not None:
         print(f"output error: {problem}", file=sys.stderr)
         return 2
 
     reports = []
     try:
-        if config.command in _REPORT_COMMANDS:
-            reports = _REPORT_COMMANDS[config.command](config)
+        if args.command in _REPORT_COMMANDS:
+            reports = _REPORT_COMMANDS[args.command](config)
             body, to_csv, to_json = reports, reports_to_csv, reports_to_json
         else:
-            build = _simulate_table if config.command == "simulate" else _localtime_table
+            build = _simulate_table if args.command == "simulate" else _localtime_table
             body, to_csv, to_json = build(config), table_to_csv, table_to_json
-        if config.output_format == "csv":
+        if args.format == "csv":
             text = to_csv(body)
         else:
-            text = to_json(body, config_dict(config), __version__)
+            text = to_json(body, {"command": args.command, **config_dict(config)}, __version__)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -203,7 +224,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _emit(text, config)
+        _emit(text, args.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Gram determinants, projection identities, and the simplex integrals.
 
-Families of Hilbert-space elements are represented as coordinate rows in a
-finite orthonormal system; inner products are plain dot products.  Step
-functions and indicators live on a shared fine cell grid (1024 cells by
-default) with coordinates scaled by the root cell width so that dot
-products equal L2 inner products.
+Families of Hilbert-space elements are the rows of a 2-d array of
+coordinates in a finite orthonormal system; inner products are plain dot
+products.  Step functions and indicators live on a shared fine cell grid
+with coordinates scaled by the root cell width so that dot products equal
+L2 inner products.
 
 The Dirichlet-type simplex integral
 
@@ -18,7 +18,6 @@ sampling for k = 3, 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -32,36 +31,8 @@ from .errors import (
 )
 from .sampling import SeedSpec
 
-DEFAULT_CELLS = 1024
-
-
-@dataclass(frozen=True)
-class VectorFamily:
-    """Rows are coordinate vectors of equal dimension."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("vectors must form a nonempty 2-d array")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def append(self, extra: np.ndarray) -> "VectorFamily":
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        return VectorFamily(np.vstack([self.vectors, extra]))
-
-
-def gram_det(family: VectorFamily) -> float:
-    """Gram determinant as the squared product of |diag R| of a QR of the rows.
+def gram_det(vectors) -> float:
+    """Gram determinant of the rows, as the squared product of |diag R| of a QR.
 
     QR works on the vectors themselves, so it does not square their
     condition number as a factorisation of v v^T would (Higham 2002,
@@ -70,7 +41,9 @@ def gram_det(family: VectorFamily) -> float:
     dimensions as 0.  Log accumulation keeps determinants of up to eight
     long vectors away from underflow.
     """
-    v = family.vectors
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError("vectors must form a nonempty 2-d array")
     if v.shape[0] > v.shape[1]:
         return 0.0
     diag = np.abs(np.diag(np.linalg.qr(v.T, mode="r")))
@@ -97,7 +70,7 @@ def gram_indicators(times, base: float = 0.0) -> float:
 class CellGrid:
     """Uniform cells on an interval with root-width coordinate scaling."""
 
-    def __init__(self, n_cells: int = DEFAULT_CELLS, interval: tuple[float, float] = (0.0, 1.0)):
+    def __init__(self, n_cells: int, interval: tuple[float, float]):
         if n_cells < 1:
             raise ValueError("need at least one cell")
         self.n_cells = int(n_cells)
@@ -123,7 +96,7 @@ class CellGrid:
         return frac * np.sqrt(self.width)
 
 
-def orthonormalize(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def orthonormalize(rows: np.ndarray) -> np.ndarray:
     """Gram-Schmidt rows; raises DegenerateFamily if a row collapses."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float)).copy()
     out = []
@@ -131,33 +104,27 @@ def orthonormalize(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         for q in out:
             r = r - np.dot(r, q) * q
         nrm = np.linalg.norm(r)
-        if nrm < tol:
+        if nrm < 1e-12:
             raise DegenerateFamily("row became numerically zero during orthonormalisation")
         out.append(r / nrm)
     return np.array(out)
 
 
-def projection_identity_values(
-    g_family: VectorFamily, basis: VectorFamily
-) -> tuple[float, float]:
+def projection_identity_values(g: np.ndarray, basis: np.ndarray) -> tuple[float, float]:
     """Both sides of the projection identity.
 
     Left: Gram determinant of the g's with their components along the
     orthonormal basis removed.  Right: Gram determinant of the g's and the
     basis elements together.  The two are equal in exact arithmetic.
     """
-    E = basis.vectors
-    gram_e = E @ E.T
-    if np.max(np.abs(gram_e - np.eye(basis.count))) > 1e-10:
+    if np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))) > 1e-10:
         raise BasisNotOrthonormal("basis Gram matrix deviates from identity above 1e-10")
-    G = g_family.vectors
-    projected = G - (G @ E.T) @ E
-    lhs = gram_det(VectorFamily(projected))
-    rhs = gram_det(g_family.append(E))
+    lhs = gram_det(g - (g @ basis.T) @ basis)
+    rhs = gram_det(np.vstack([g, basis]))
     return lhs, rhs
 
 
-def invertible_gram_values(matrix: np.ndarray, family: VectorFamily) -> tuple[float, float]:
+def invertible_gram_values(matrix: np.ndarray, family: np.ndarray) -> tuple[float, float]:
     """Transformed Gram determinant and its invertibility floor.
 
     Returns (G(A e_1, ..., A e_n), sigma_min(A)^(2n) G(e_1, ..., e_n));
@@ -168,17 +135,13 @@ def invertible_gram_values(matrix: np.ndarray, family: VectorFamily) -> tuple[fl
     sigma_min = float(np.linalg.svd(A, compute_uv=False)[-1])
     if sigma_min <= 1e-8:
         raise NearSingular(f"smallest singular value {sigma_min:.3e} <= 1e-8")
-    transformed = VectorFamily(family.vectors @ A.T)
-    lhs = gram_det(transformed)
-    rhs = sigma_min ** (2 * family.count) * gram_det(family)
+    lhs = gram_det(family @ A.T)
+    rhs = sigma_min ** (2 * family.shape[0]) * gram_det(family)
     return lhs, rhs
 
 
 def probe_basis_extension_ratio(
-    step_basis: VectorFamily,
-    smooth_basis: VectorFamily,
-    indicator_times,
-    cell_grid: CellGrid | None = None,
+    step_basis: np.ndarray, smooth_basis: np.ndarray, indicator_times, cell_grid: CellGrid
 ) -> float:
     """Minimum Gram ratio when the smooth complement joins the family.
 
@@ -190,19 +153,17 @@ def probe_basis_extension_ratio(
     over the sample.  Qualitative positivity probe: no quantitative
     constant is claimed, only that the minimum stays strictly positive.
     """
-    if cell_grid is None:
-        cell_grid = CellGrid(step_basis.dim)
-    if step_basis.dim != smooth_basis.dim or step_basis.dim != cell_grid.n_cells:
+    dim = cell_grid.n_cells
+    if step_basis.shape[1] != dim or smooth_basis.shape[1] != dim:
         raise ValueError("families and cell grid must share one dimension")
     best = np.inf
     for times in indicator_times:
         ind = np.array([cell_grid.indicator(float(t)) for t in np.sort(np.asarray(times))])
-        fam_small = VectorFamily(np.vstack([ind, step_basis.vectors]))
-        denom = gram_det(fam_small)
+        denom = gram_det(np.vstack([ind, step_basis]))
         # an exactly dependent family comes back near 1e-30
         if denom < 1e-20:
             raise DegenerateFamily(f"denominator Gram determinant {denom:.3e} < 1e-20")
-        num = gram_det(VectorFamily(np.vstack([ind, step_basis.vectors, smooth_basis.vectors])))
+        num = gram_det(np.vstack([ind, step_basis, smooth_basis]))
         best = min(best, num / denom)
     if not np.isfinite(best):
         raise ValueError("empty sample of indicator tuples")
@@ -215,9 +176,7 @@ def _quad_beta_half(lo: float, hi: float) -> float:
     return val
 
 
-def dirichlet_simplex_integral(
-    k: int, samples: int = 10_000_000, seed: int = 20_240_817
-) -> tuple[float, float]:
+def dirichlet_simplex_integral(k: int, samples: int = 10_000_000) -> tuple[float, float]:
     """Simplex integral with inverse-root gap weights; returns (value, error).
 
     k <= 2 uses iterated adaptive quadrature with algebraic endpoint
@@ -245,7 +204,7 @@ def dirichlet_simplex_integral(
     # importance sampling on the increment simplex
     alpha = np.full(k + 1, 0.75)
     log_b = float((k + 1) * special.gammaln(0.75) - special.gammaln(0.75 * (k + 1)))
-    rng = SeedSpec(seed).rng()
+    rng = SeedSpec(20_240_817).rng()  # a fixed stream: the value is a constant
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -288,18 +247,15 @@ def _sorted_gap_integrand(a: float, s1: float):
     return h
 
 
-def check_simplex_partition(
-    a: float = 0.0, b: float = 1.0, s1: float = 0.4
-) -> tuple[float, float]:
-    """Partition additivity of the ordered-time integral at one split point.
+def check_simplex_partition() -> tuple[float, float]:
+    """Partition additivity of the ordered-time integral on (0, 1) split at 0.4.
 
-    The two ordered times either both precede s1, straddle it, or both
-    follow it; returns (sum of the three block integrals, each evaluated
-    with weighted quadrature adapted to its fixed ordering; the direct
-    nested quadrature over the whole simplex), which must agree.
+    The two ordered times either both precede s1 = 0.4, straddle it, or
+    both follow it; returns (sum of the three block integrals, each
+    evaluated with weighted quadrature adapted to its fixed ordering; the
+    direct nested quadrature over the whole simplex), which must agree.
     """
-    if not a < s1 < b:
-        raise OrderViolation("need a < s1 < b")
+    a, b, s1 = 0.0, 1.0, 0.4
     h = _sorted_gap_integrand(a, s1)
 
     # both before s1: [(v1-a)(v2-v1)(s1-v2)]^{-1/2}
@@ -330,7 +286,7 @@ def check_simplex_partition(
     blocks = block_before() + block_straddle() + block_after()
 
     def whole_inner(v2: float) -> float:
-        pts = [s1] if a < s1 < v2 else None
+        pts = [s1] if s1 < v2 else None
         val, _ = integrate.quad(lambda v1: h(v1, v2), a, v2, points=pts, limit=200)
         return val
 

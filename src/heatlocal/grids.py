@@ -41,11 +41,11 @@ class SpatialGrid:
         if pts[0] < lo - 1e-12 or pts[-1] > hi + 1e-12:
             raise ValueError("grid points fall outside the interval")
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         d = np.diff(self.points)
         if d.size == 0:
             return True
-        return bool(np.max(np.abs(d - d[0])) <= rtol * d[0])
+        return bool(np.max(np.abs(d - d[0])) <= 1e-9 * d[0])
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "SpatialGrid":

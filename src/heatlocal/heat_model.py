@@ -148,22 +148,12 @@ class SheetOperator:
     itself is never stored.
     """
 
-    def __init__(
-        self,
-        grid: SpatialGrid,
-        sheet_resolution: tuple[int, int],
-        spatial_cutoff: float,
-        time_cutoff: float,
-    ):
-        if time_cutoff <= 0.0 or time_cutoff >= 1.0:
-            raise ValueError("time cutoff must be in (0, 1)")
-        n_time, n_space = sheet_resolution
-        if n_time < 2 or n_space < 2:
-            raise ValueError("need at least 2 cells per direction")
+    def __init__(self, grid: SpatialGrid):
+        n_time, n_space = _SHEET_RESOLUTION
         pts = grid.points
         base = grid.interval[0]
         eval_pts = pts if pts[0] == base else np.concatenate(([base], pts))
-        self.delta = float(time_cutoff)
+        self.delta = _TIME_CUTOFF
 
         # time rows: uniform in rho = sqrt(1 - s), midpoint evaluation
         rho = np.linspace(np.sqrt(self.delta), 1.0, n_time + 1)
@@ -172,8 +162,8 @@ class SheetOperator:
         t_mid = rho_mid**2  # time-to-observation of each row
 
         # spatial columns: uniform cells covering the grid plus the cutoff pad
-        lo = eval_pts[0] - spatial_cutoff
-        hi = eval_pts[-1] + spatial_cutoff
+        lo = eval_pts[0] - _SPATIAL_CUTOFF
+        hi = eval_pts[-1] + _SPATIAL_CUTOFF
         edges = np.linspace(lo, hi, n_space + 1)
         dv = edges[1] - edges[0]
         v_mid = 0.5 * (edges[1:] + edges[:-1])
@@ -245,7 +235,7 @@ def weighted_increment_square(
 
 def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:
     """Sheet operator for the grid at the package's fixed discretisation."""
-    return SheetOperator(grid, _SHEET_RESOLUTION, _SPATIAL_CUTOFF, _TIME_CUTOFF)
+    return SheetOperator(grid)
 
 
 @lru_cache(maxsize=4)

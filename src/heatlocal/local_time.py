@@ -29,7 +29,7 @@ from .errors import (
     UnknownProcess,
     UnsupportedOrder,
 )
-from .heat_model import _embedding_weights, covariance_R, increment_covariance
+from .heat_model import _embedding_weights, covariance_R
 from .sampling import SeedSpec, sample_stationary_values
 
 
@@ -52,16 +52,6 @@ def marginal_variance(process_tag: str, s, interval: tuple[float, float]) -> np.
     if process_tag == "heat":
         base = interval[0]
         return 2.0 * (covariance_R(0.0) - covariance_R(s - base))
-    raise UnknownProcess(f"unknown process tag {process_tag!r}")
-
-
-def pair_covariance(process_tag: str, s, t, interval: tuple[float, float]) -> float:
-    if process_tag == "bridge":
-        return float(min(s, t) * (1.0 - max(s, t)))
-    if process_tag == "motion":
-        return float(min(s, t))
-    if process_tag == "heat":
-        return float(increment_covariance(s, t, interval[0]))
     raise UnknownProcess(f"unknown process tag {process_tag!r}")
 
 
@@ -154,26 +144,20 @@ def conditional_moment(k: int) -> float:
     return float(num / den)
 
 
-def second_moment_via_density(
-    process_tag: str,
-    z: float,
-    eps1: float,
-    eps2: float,
-    interval: tuple[float, float] | None = None,
-) -> float:
-    """E[V_eps1 V_eps2] by 2-d quadrature of the smoothed pair density.
+def second_moment_via_density(z: float, eps1: float, eps2: float) -> float:
+    """E[V_eps1 V_eps2] for the bridge by 2-d quadrature of the smoothed pair density.
 
     The integrand is the bivariate normal density of the two smoothed
-    marginals at (z, z); its covariance is the process pair covariance
-    plus diag(eps1, eps2).  SingularCovariance is raised if the
-    determinant degenerates below 1e-14 anywhere the rule evaluates.
+    marginals at (z, z); its covariance is the bridge covariance
+    min(s, t) (1 - max(s, t)) plus diag(eps1, eps2).  SingularCovariance
+    is raised if the determinant degenerates below 1e-14 anywhere the
+    rule evaluates.
     """
-    lo, hi = process_interval(process_tag, interval)
 
     def density(v1: float, v2: float) -> float:
-        s11 = float(marginal_variance(process_tag, v1, (lo, hi))) + eps1
-        s22 = float(marginal_variance(process_tag, v2, (lo, hi))) + eps2
-        s12 = pair_covariance(process_tag, v1, v2, (lo, hi))
+        s11 = v1 * (1.0 - v1) + eps1
+        s22 = v2 * (1.0 - v2) + eps2
+        s12 = min(v1, v2) * (1.0 - max(v1, v2))
         det = s11 * s22 - s12 * s12
         if det < 1e-14:
             raise SingularCovariance(
@@ -185,27 +169,12 @@ def second_moment_via_density(
         return float(np.exp(-0.5 * quad_form) / (2.0 * np.pi * np.sqrt(det)))
 
     def inner(v2: float) -> float:
-        left, _ = integrate.quad(lambda v1: density(v1, v2), lo, v2, limit=200)
-        right, _ = integrate.quad(lambda v1: density(v1, v2), v2, hi, limit=200)
+        left, _ = integrate.quad(lambda v1: density(v1, v2), 0.0, v2, limit=200)
+        right, _ = integrate.quad(lambda v1: density(v1, v2), v2, 1.0, limit=200)
         return left + right
 
-    val, _ = integrate.quad(inner, lo, hi, limit=200)
+    val, _ = integrate.quad(inner, 0.0, 1.0, limit=200)
     return float(val)
-
-
-def expected_cauchy_gap(
-    process_tag: str,
-    z: float,
-    eps1: float,
-    eps2: float,
-    interval: tuple[float, float] | None = None,
-) -> float:
-    """E (V_eps1 - V_eps2)^2 from the three second moments."""
-    return (
-        second_moment_via_density(process_tag, z, eps1, eps1, interval)
-        - 2.0 * second_moment_via_density(process_tag, z, eps1, eps2, interval)
-        + second_moment_via_density(process_tag, z, eps2, eps2, interval)
-    )
 
 
 def expected_motion_local_time_in_window(eps: float, window: float) -> float:

@@ -19,8 +19,6 @@ from .errors import ConfigError, ReplicateFailure
 from .local_time import bandwidth_floor, process_interval
 from .sampling import _UINT64_MAX, SeedSpec
 
-COMMANDS = ("simulate", "localtime", "moments", "spectral", "gram", "verify")
-OUTPUT_FORMATS = ("csv", "json")
 PROCESSES = ("heat", "bridge", "motion")
 
 DEFAULT_EPSILON_SCHEDULE = (0.08, 0.04, 0.02, 0.01, 0.005)
@@ -34,15 +32,12 @@ CHUNK = 1024
 class RunConfig:
     """Validated run parameters shared by the CLI and the verify suite."""
 
-    command: str = "verify"
     interval: tuple[float, float] = (0.0, 2.0)
     grid_points: int = 8192
     epsilon_schedule: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
     replicates: int = 50_000
     master_seed: int = 0
     jobs: int = 1
-    output_path: str | None = None
-    output_format: str = "csv"
     z: float = 0.0
     process: str = "heat"
 
@@ -51,10 +46,6 @@ class RunConfig:
         object.__setattr__(
             self, "epsilon_schedule", tuple(float(e) for e in self.epsilon_schedule)
         )
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.process not in PROCESSES:
             raise ConfigError(f"unknown process {self.process!r}")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
@@ -94,12 +85,11 @@ class RunConfig:
 def config_dict(config: RunConfig) -> dict:
     """Result-determining fields of the config, in stable key order.
 
-    Excludes jobs, output path, and output format: none of them affect the
-    computed numbers, and leaving them out keeps emissions from runs that
-    differ only in worker count byte-identical.
+    Excludes jobs: it does not affect the computed numbers, and leaving it
+    out keeps emissions from runs that differ only in worker count
+    byte-identical.
     """
     return {
-        "command": config.command,
         "interval": [config.interval[0], config.interval[1]],
         "grid_points": config.grid_points,
         "epsilon_schedule": list(config.epsilon_schedule),

@@ -85,14 +85,13 @@ def bound_report(
     claim_id: str,
     slack,
     tolerance: float,
-    standard_error: float | None = None,
     insufficient: bool = False,
 ) -> SuiteReport:
     """Report for one-sided claims: passes when every slack >= -tolerance.
 
     ``slack`` holds margins that should be nonnegative (bound satisfied);
     expected is identically zero, so a fail implies the recorded slack is
-    genuinely below -tolerance.
+    genuinely below -tolerance.  A bound carries no standard error.
     """
     s = _as_tuple(slack)
     if insufficient:
@@ -100,7 +99,7 @@ def bound_report(
     else:
         status = PASS if all(v >= -tolerance for v in s) else FAIL
     zeros = tuple(0.0 for _ in s)
-    return SuiteReport(claim_id, status, s, zeros, tolerance, standard_error)
+    return SuiteReport(claim_id, status, s, zeros, tolerance)
 
 
 def _fmt(x: float) -> str:

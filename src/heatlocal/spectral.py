@@ -182,26 +182,21 @@ def smallest_form_eigenvalue(grid: SpatialGrid) -> float:
     return float(vals[0])
 
 
-def random_step_function(
-    rng: np.random.Generator,
-    max_pieces: int = 12,
-    coeff_range: tuple[float, float] = (-5.0, 5.0),
-    max_support: float = 3.4,
-    start_range: tuple[float, float] = (-3.0, 3.0),
-) -> StepFunction:
+def random_step_function(rng: np.random.Generator) -> StepFunction:
     """Random test function for the inequality sweeps.
 
-    Piece count, breakpoint increments, and coefficients are uniform;
-    increments are scaled so the total support stays below ``max_support``
-    (keep it under 2 sqrt(pi) when the coercivity bound is being swept).
+    Up to 12 pieces starting in (-3, 3), with coefficients in (-5, 5);
+    piece count, breakpoint increments, and coefficients are uniform, and
+    the increments are scaled so the total support stays below 3.4, under
+    the 2 sqrt(pi) of the coercivity bound.
     """
-    n = int(rng.integers(1, max_pieces + 1))
+    n = int(rng.integers(1, 13))
     incs = rng.uniform(0.05, 1.0, size=n)
-    incs *= rng.uniform(0.3, 1.0) * max_support / np.sum(incs)
-    start = rng.uniform(*start_range)
+    incs *= rng.uniform(0.3, 1.0) * 3.4 / np.sum(incs)
+    start = rng.uniform(-3.0, 3.0)
     bps = start + np.concatenate(([0.0], np.cumsum(incs)))
-    cfs = rng.uniform(coeff_range[0], coeff_range[1], size=n)
+    cfs = rng.uniform(-5.0, 5.0, size=n)
     # avoid the all-zero function: regenerate degenerate coefficient draws
     while np.max(np.abs(cfs)) < 1e-3:
-        cfs = rng.uniform(coeff_range[0], coeff_range[1], size=n)
+        cfs = rng.uniform(-5.0, 5.0, size=n)
     return StepFunction(bps, cfs)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigError
 from .gram import (
     CellGrid,
-    VectorFamily,
     bridge_moment_from_simplex,
     check_simplex_partition,
     dirichlet_simplex_integral,
@@ -206,7 +205,7 @@ class _Inputs:
 
     @cached_property
     def bridge_q2(self) -> float:
-        return second_moment_via_density("bridge", self.config.z, self.eps_star, self.eps_star)
+        return second_moment_via_density(self.config.z, self.eps_star, self.eps_star)
 
     @cached_property
     def exp_window(self) -> float:
@@ -288,8 +287,8 @@ def _projection_sweep(inputs: _Inputs):
         n_basis = int(rng.integers(1, min(5, dim - 1) + 1))
         # keep the appended family independent: k + n_basis <= dim
         k = int(rng.integers(1, min(6 - n_basis, dim - n_basis) + 1))
-        basis = VectorFamily(orthonormalize(rng.standard_normal((n_basis, dim)))[:n_basis])
-        g = VectorFamily(rng.standard_normal((k, dim)))
+        basis = orthonormalize(rng.standard_normal((n_basis, dim)))[:n_basis]
+        g = rng.standard_normal((k, dim))
         lhs, rhs = projection_identity_values(g, basis)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
     return worst, 0.0, 1e-8
@@ -304,7 +303,7 @@ def _invertible_sweep(inputs: _Inputs):
         matrix = rng.standard_normal((dim, dim))
         while np.linalg.svd(matrix, compute_uv=False)[-1] <= 1e-8:
             matrix = rng.standard_normal((dim, dim))
-        family = VectorFamily(rng.standard_normal((count, dim)))
+        family = rng.standard_normal((count, dim))
         lhs, rhs = invertible_gram_values(matrix, family)
         worst = min(worst, lhs - rhs)
     return float(worst), 1e-10
@@ -326,7 +325,7 @@ def _indicator_discretization(inputs: _Inputs):
         times = idx / cells
         exact = gram_indicators(times, 0.0)
         rows = np.stack([grid.indicator(float(t)) for t in times])
-        disc = gram_det(VectorFamily(rows))
+        disc = gram_det(rows)
         worst = max(worst, abs(disc - exact) / exact)
     return worst, 0.0, 1e-6
 
@@ -335,11 +334,11 @@ def _extension_probe(inputs: _Inputs):
     rng = inputs.gram_rng
     grid = CellGrid(1024, (0.0, 1.0))
     step_vec = grid.discretize(lambda u: np.where(u < 0.5, 1.0, -1.0))
-    step_basis = VectorFamily(orthonormalize(step_vec[None, :]))
-    s1 = step_basis.vectors[0]
+    step_basis = orthonormalize(step_vec[None, :])
+    s1 = step_basis[0]
     smooth_raw = grid.discretize(lambda u: u - 0.5)
     resid = smooth_raw - float(np.dot(smooth_raw, s1)) * s1
-    smooth_basis = VectorFamily(orthonormalize(resid[None, :]))
+    smooth_basis = orthonormalize(resid[None, :])
     tuples = []
     for _ in range(_EXTENSION_SWEEP):
         k = int(rng.integers(1, 4))
@@ -456,9 +455,7 @@ def _heat_mean(inputs: _Inputs, long: bool):
 
 def _second_moment_monotone(inputs: _Inputs):
     z = inputs.config.z
-    values = [
-        second_moment_via_density("bridge", z, e, e) for e in inputs.config.epsilon_schedule[:4]
-    ]
+    values = [second_moment_via_density(z, e, e) for e in inputs.config.epsilon_schedule[:4]]
     # epsilon decreases along the schedule, so the values must rise
     return [b - a for a, b in zip(values, values[1:])], 1e-10
 

@@ -7,9 +7,6 @@ from scipy import special
 from heatlocal.errors import CutoffTooCoarse
 from heatlocal.grids import SpatialGrid
 from heatlocal.heat_model import (
-    _SPATIAL_CUTOFF,
-    _TIME_CUTOFF,
-    SheetOperator,
     build_sheet_operator,
     covariance_R,
     covariance_R_quadrature,
@@ -132,9 +129,11 @@ def test_sheet_increment_covariance_matches_R_for_all_pairs():
 
 
 def test_sheet_rejects_coarse_spatial_resolution():
-    grid = SpatialGrid(np.array([0.5, 1.0]), (0.0, 1.0))
+    # a span of 7 spreads the fixed 2304 spatial cells 0.0104 apart, wider
+    # than the root time cutoff 0.01
+    grid = SpatialGrid(np.array([3.5, 7.0]), (0.0, 7.0))
     with pytest.raises(CutoffTooCoarse):
-        SheetOperator(grid, (64, 512), _SPATIAL_CUTOFF, _TIME_CUTOFF)
+        build_sheet_operator(grid)
 
 
 def test_sheet_sample_deterministic_and_base_free():

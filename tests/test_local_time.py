@@ -13,7 +13,6 @@ from heatlocal.local_time import (
     bridge_moment_exact,
     bridge_values,
     conditional_moment,
-    expected_cauchy_gap,
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
     heat_values,
@@ -102,19 +101,13 @@ def test_smoothed_mean_decreases_with_bandwidth_at_zero_level():
 
 
 def test_second_moment_frozen_values():
-    assert second_moment_via_density("bridge", 0.0, 0.005, 0.005) == pytest.approx(
+    assert second_moment_via_density(0.0, 0.005, 0.005) == pytest.approx(
         BRIDGE_M2_EPS_005, rel=1e-8
     )
     for eps, expected in BRIDGE_M2_SWEEP.items():
-        assert second_moment_via_density("bridge", 0.0, eps, eps) == pytest.approx(
+        assert second_moment_via_density(0.0, eps, eps) == pytest.approx(
             expected, rel=1e-8
         )
-
-
-def test_cauchy_gap_oracle_positive_and_shrinking():
-    g1 = expected_cauchy_gap("bridge", 0.0, 0.08, 0.04)
-    g2 = expected_cauchy_gap("bridge", 0.0, 0.04, 0.02)
-    assert 0.0 < g2 < g1
 
 
 def test_marginal_variances():

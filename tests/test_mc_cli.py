@@ -147,8 +147,8 @@ def test_bridge_mean_task_matches_quadrature_small_scale():
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(command="explode"),
         dict(interval=(1.0, 1.0)),
+        dict(interval=(2.0, 0.0)),
         dict(grid_points=1),
         dict(replicates=0),
         dict(jobs=0),
@@ -157,8 +157,8 @@ def test_bridge_mean_task_matches_quadrature_small_scale():
         dict(epsilon_schedule=(0.1, 0.1)),
         dict(epsilon_schedule=(0.01, 0.05)),
         dict(epsilon_schedule=(-0.1,)),
+        dict(epsilon_schedule=(0.1, 0.0)),
         dict(epsilon_schedule=(1e-7,)),
-        dict(output_format="yaml"),
         dict(process="poisson"),
     ],
 )
@@ -175,9 +175,11 @@ def test_bandwidth_floor_scales_with_interval():
 
 
 def test_config_dict_excludes_execution_only_fields():
-    cfg = RunConfig(jobs=8, output_path="x.csv", output_format="json")
+    cfg = RunConfig(jobs=8)
     d = config_dict(cfg)
-    assert "jobs" not in d and "output_path" not in d and "output_format" not in d
+    assert list(d) == [
+        "interval", "grid_points", "epsilon_schedule", "replicates", "master_seed", "z", "process"
+    ]
     assert d["replicates"] == 50_000
     assert tuple(d["epsilon_schedule"]) == cfg.epsilon_schedule
 
@@ -208,7 +210,7 @@ def test_report_json_roundtrip_with_config():
     back, cfg_d, version = reports_from_json(text)
     assert back == reports
     assert version == "9.9.9"
-    assert cfg_d["command"] == "verify"
+    assert cfg_d == config_dict(cfg)
 
 
 def test_table_roundtrips_preserve_none_cells():
@@ -334,9 +336,10 @@ def test_cli_config_error_exit_code(capsys):
 
 
 def test_cli_bad_flag_exits_two():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["verify", "--format", "xml"])
-    assert exc_info.value.code == 2
+    for argv in (["verify", "--format", "xml"], ["explode"], ["verify", "--process", "poisson"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
 
 
 def test_cli_moments_subset_csv(capsys):
@@ -405,14 +408,52 @@ def test_cli_out_in_unwritable_directory_exits_two_before_any_work(
     tmp_path, monkeypatch, capsys
 ):
     calls = _forbid_gram_block(monkeypatch)
-    # permission bits do not bind every user, so deny access directly
-    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    # permission bits do not bind every user, so deny the directory directly;
+    # the output is renamed into it, so an existing writable file is refused too
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    for out in (new, old):
+        rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+        assert rc == 2
+        assert calls == []
+        _assert_one_line_output_error(capsys)
+    assert not new.exists()
+    assert old.read_text() == "old\n"
+
+
+_SMALL_SIMULATE = ["simulate", "--process", "bridge", "--reps", "4", "--grid", "64", "--eps", "0.5"]
+
+
+def test_cli_failed_write_keeps_the_old_file_and_leaves_no_temp_file(
+    tmp_path, monkeypatch, capsys
+):
     out = tmp_path / "x.csv"
-    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+    out.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    rc = main(_SMALL_SIMULATE + ["--out", str(out)])
     assert rc == 2
-    assert calls == []
     _assert_one_line_output_error(capsys)
-    assert not out.exists()
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_cli_out_replaces_a_file_with_a_plain_open_mode(tmp_path, capsys):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    with open(tmp_path / "plain", "w"):
+        pass
+    old.write_text("old\n")
+    old.chmod(0o640)
+    for out in (new, old):
+        assert main(_SMALL_SIMULATE + ["--out", str(out)]) == 0
+        assert out.read_text().startswith("u,mean,")
+    assert new.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.csv", "plain"]
 
 
 def test_cli_simulate_table(capsys):
