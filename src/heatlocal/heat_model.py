@@ -189,7 +189,7 @@ class SheetOperator:
 
     def sample_field(self, seed: SeedSpec) -> np.ndarray:
         """Undifferenced field values at the evaluation points (base first)."""
-        z = seed.rng().standard_normal(self.factor.shape[0])
+        z = seed.normals(self.factor.shape[0])
         return np.einsum("ij,j->i", self.factor, z)
 
     def field_variance(self) -> np.ndarray:
@@ -214,7 +214,7 @@ def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> 
     counts do not refactor the same matrix.
     """
     L = _increment_cholesky(tuple(points), tuple(interval))
-    z = seed.rng().standard_normal(L.shape[0])
+    z = seed.normals(L.shape[0])
     return L @ z
 
 
@@ -258,9 +258,9 @@ def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) ->
     return field[-len(points) :] - field[0]
 
 
-def sheet_variance_bias(time_cutoff: float) -> float:
-    """Field-variance deficit caused by stopping delta short in time.
+def sheet_variance_bias() -> float:
+    """Field-variance deficit caused by stopping the sheet delta short in time.
 
     Equals the tail integral of the squared-kernel mass: sqrt(delta)/sqrt(pi).
     """
-    return float(np.sqrt(time_cutoff) / SQRT_PI)
+    return float(np.sqrt(_TIME_CUTOFF) / SQRT_PI)

@@ -223,7 +223,7 @@ def motion_values(seed: SeedSpec, n: int) -> np.ndarray:
     """w on the uniform n-point grid of [0, 1] by exact increments."""
     pts = _uniform_points(0.0, 1.0, n)
     dt = pts[1] - pts[0]
-    z = seed.rng().standard_normal(n - 1)
+    z = seed.normals(n - 1)
     w = np.empty(n)
     w[0] = 0.0
     np.cumsum(z * np.sqrt(dt), out=w[1:])

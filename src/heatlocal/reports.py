@@ -10,9 +10,11 @@ An :class:`AggregateTable` is the emission format of the simulate and
 localtime commands: named float columns, with empty cells allowed.
 
 Both round-trip through CSV and through one JSON envelope
-``{"config", <body>, "version"}``.  Floats are serialised with 17
-significant digits so that parsing an emitted file reproduces the
-in-memory object exactly.
+``{"config", <body>, "provenance", "version"}``.  Floats are serialised
+with 17 significant digits so that parsing an emitted file reproduces the
+in-memory object exactly.  The provenance names what, beyond the config,
+determines the numbers: the random stream scheme, the reduction chunk and
+the numpy, scipy and python versions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import platform
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy
+
+from .mc import CHUNK
+from .sampling import STREAM
 
 PASS = "pass"
 FAIL = "fail"
@@ -138,8 +147,19 @@ def _read_csv(text: str) -> tuple[list[str], list[list[str]]]:
     return header, [row for row in reader if row]
 
 
+def provenance() -> dict:
+    """What fixes the numbers besides the config; never the worker count."""
+    return {
+        "stream": STREAM,
+        "chunk": CHUNK,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
+
+
 def _to_envelope(key: str, body, config: dict | None, version: str) -> str:
-    payload = {"config": config or {}, key: body, "version": version}
+    payload = {"config": config or {}, key: body, "provenance": provenance(), "version": version}
     return json.dumps(payload, indent=2) + "\n"
 
 

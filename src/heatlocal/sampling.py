@@ -1,15 +1,20 @@
 """Reproducible Gaussian sampling primitives.
 
 Every random draw in the package flows through a :class:`SeedSpec`: a
-(master seed, replicate index) pair mapped to an independent counter-based
-stream.  Identical specs give bit-identical output on every platform and
-worker layout, which is what makes the parallel Monte Carlo engine
-deterministic.
+(master seed, replicate index) pair naming one stream of the counter-based
+Philox4x64-10 generator (Salmon et al., SC 2011).  The master seed fixes
+the key, hashed once per seed by a SeedSequence; the replicate index is
+the third of the four 64-bit counter words, and draws advance only the
+first, so distinct indices read disjoint counter ranges.  Identical specs
+give bit-identical output on every platform and worker layout, which is
+what makes the parallel Monte Carlo engine deterministic.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft
@@ -23,6 +28,28 @@ JITTER_STEP = 10.0
 JITTER_CAP = 1e-8
 
 _UINT64_MAX = 2**64 - 1
+
+# the stream scheme of :class:`SeedSpec`, recorded with every JSON result
+STREAM = "philox4x64-10 key=SeedSequence(master).generate_state(2) counter=[0, 0, index, 0]"
+
+
+@lru_cache(maxsize=64)
+def _key(master_seed: int) -> tuple[int, int]:
+    """Philox key of a master seed: two 64-bit words of its SeedSequence."""
+    words = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return int(words[0]), int(words[1])
+
+
+class _Stream(threading.local):
+    """The Philox that :meth:`SeedSpec.normals` reloads per call, one per thread."""
+
+    def __init__(self):
+        # the key is a placeholder: every draw first loads a whole state
+        self.bitgen = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.bitgen)
+
+
+_STREAM = _Stream()
 
 
 @dataclass(frozen=True)
@@ -38,17 +65,39 @@ class SeedSpec:
             if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
-    def rng(self) -> np.random.Generator:
-        """Counter-based generator for this replicate.
+    def _words(self) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
+        """(key, counter) of this stream's first Philox block."""
+        return _key(int(self.master_seed)), (0, 0, int(self.replicate_index), 0)
 
-        The replicate index enters through the SeedSequence spawn key, so
-        streams for distinct indices are independent by construction and no
-        stream is ever shared sequentially between replicates.
+    def rng(self) -> np.random.Generator:
+        """A new generator positioned at the start of this stream.
+
+        For callers that draw an open-ended sequence; a fixed-size draw
+        should use :meth:`normals`, which skips building a generator.
         """
-        ss = np.random.SeedSequence(
-            entropy=int(self.master_seed), spawn_key=(int(self.replicate_index),)
-        )
-        return np.random.Generator(np.random.Philox(ss))
+        key, counter = (np.array(w, dtype=np.uint64) for w in self._words())
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+    def normals(self, size: int) -> np.ndarray:
+        """The first ``size`` standard normals of this stream.
+
+        Bit-identical to ``self.rng().standard_normal(size)``: the calling
+        thread's module-owned Philox is reset to this stream's key and
+        counter, with an empty output buffer, and the draw is taken from
+        it.  Nothing of an earlier call survives the reset, and the
+        generator is never handed out, so calls cannot disturb each other.
+        """
+        key, counter = self._words()
+        stream = _STREAM
+        stream.bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return stream.generator.standard_normal(size)
 
 
 @dataclass
@@ -107,7 +156,7 @@ def sample_gaussian_vector(cov: CovarianceMatrix, seed: SeedSpec) -> np.ndarray:
     standard normal ``z`` from the seed's stream.
     """
     L, _ = jittered_cholesky(cov.entries)
-    z = seed.rng().standard_normal(cov.dim)
+    z = seed.normals(cov.dim)
     return L @ z
 
 
@@ -190,4 +239,4 @@ def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.
     m = weights.size
     if n > m // 2 + 1:
         raise ValueError("requested block exceeds the exact embedding range")
-    return _stationary_synthesis(weights, seed.rng().standard_normal(m), n)
+    return _stationary_synthesis(weights, seed.normals(m), n)

@@ -422,7 +422,7 @@ def _agreement(inputs: _Inputs):
 def _sheet_bias(inputs: _Inputs):
     op = build_sheet_operator(SpatialGrid(np.array(_AGREE_POINTS), (0.0, 2.0)))
     deficits = covariance_R(0.0) - op.field_variance()
-    bias = sheet_variance_bias(op.delta)
+    bias = sheet_variance_bias()
     return tuple(float(d) for d in deficits), (bias,) * deficits.size, 1e-9
 
 

@@ -93,7 +93,7 @@ def test_sheet_field_variance_deficit_equals_tail_bias():
     grid = SpatialGrid(np.array([0.4, 0.7, 1.0]), (0.0, 1.0))
     op = build_sheet_operator(grid)
     deficit = float(covariance_R(0.0)) - op.field_variance()
-    assert np.all(np.abs(deficit - sheet_variance_bias(op.delta)) < 1e-9)
+    assert np.all(np.abs(deficit - sheet_variance_bias()) < 1e-9)
 
 
 def test_sheet_off_diagonal_covariance_close_to_R():
@@ -117,7 +117,7 @@ def test_sheet_increment_covariance_matches_R_for_all_pairs():
     op = build_sheet_operator(SpatialGrid(pts, (0.0, 2.0)))
     G = op.gram
     diff = G[1:, 1:] - G[1:, :1] - G[:1, 1:] + G[0, 0]
-    bias = sheet_variance_bias(op.delta)
+    bias = sheet_variance_bias()
     expected = increment_covariance(pts[:, None], pts[None, :], 0.0) - bias * (
         1.0 + np.eye(pts.size)
     )

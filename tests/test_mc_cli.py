@@ -2,12 +2,15 @@
 
 import csv
 import io
+import json
 import os
 import pickle
+import platform
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy
 
 from heatlocal import cli
 from heatlocal.cli import main
@@ -19,6 +22,7 @@ from heatlocal.reports import (
     AggregateTable,
     SuiteReport,
     bound_report,
+    provenance,
     reports_from_csv,
     reports_from_json,
     reports_to_csv,
@@ -253,6 +257,13 @@ GOLDEN_TABLE_JSON = """\
       ]
     ]
   },
+  "provenance": {
+    "stream": "philox4x64-10 key=SeedSequence(master).generate_state(2) counter=[0, 0, index, 0]",
+    "chunk": 1024,
+    "numpy": "@numpy@",
+    "scipy": "@scipy@",
+    "python": "@python@"
+  },
   "version": "v"
 }
 """
@@ -298,9 +309,27 @@ GOLDEN_REPORTS_JSON = """\
       "runtime_ms": "0"
     }
   ],
+  "provenance": {
+    "stream": "philox4x64-10 key=SeedSequence(master).generate_state(2) counter=[0, 0, index, 0]",
+    "chunk": 1024,
+    "numpy": "@numpy@",
+    "scipy": "@scipy@",
+    "python": "@python@"
+  },
   "version": "9.9.9"
 }
 """
+
+
+def _with_versions(golden: str) -> str:
+    """The golden envelope with this interpreter's library versions filled in."""
+    for name, version in (
+        ("numpy", np.__version__),
+        ("scipy", scipy.__version__),
+        ("python", platform.python_version()),
+    ):
+        golden = golden.replace(f'"@{name}@"', f'"{version}"')
+    return golden
 
 
 def test_codecs_emit_golden_bytes():
@@ -313,9 +342,10 @@ def test_codecs_emit_golden_bytes():
         SuiteReport("claim-b", "fail", (-1e-12, 2.0), (0.0, 0.0), 1e-9),
     ]
     assert table_to_csv(table) == GOLDEN_TABLE_CSV
-    assert table_to_json(table, {"k": 1}, "v") == GOLDEN_TABLE_JSON
+    assert table_to_json(table, {"k": 1}, "v") == _with_versions(GOLDEN_TABLE_JSON)
     assert reports_to_csv(reports) == GOLDEN_REPORTS_CSV
-    assert reports_to_json(reports, {"command": "verify"}, "9.9.9") == GOLDEN_REPORTS_JSON
+    golden_reports = _with_versions(GOLDEN_REPORTS_JSON)
+    assert reports_to_json(reports, {"command": "verify"}, "9.9.9") == golden_reports
 
 
 def test_report_status_logic():
@@ -481,6 +511,20 @@ def test_cli_simulate_table(capsys):
     for row in table.rows[1:]:
         u, m2 = row[0], row[3]
         assert abs(m2 - u) < 5.0 * u * np.sqrt(2.0 / 400.0)
+
+
+def test_cli_json_is_byte_identical_across_jobs_and_records_provenance(tmp_path):
+    # more than one chunk, so jobs 2 runs a pool
+    argv = ["localtime", "--process", "bridge", "--reps", str(2 * CHUNK + 1), "--grid", "1024",
+            "--eps", "0.08,0.04", "--format", "json"]
+    texts = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    assert payload["provenance"] == provenance()
 
 
 def test_cli_localtime_table(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Seeded sampling primitives: streams, factorizations, embeddings."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,90 @@ def test_seed_spec_streams_differ_across_replicates():
     a = SeedSpec(7, 0).rng().standard_normal(16)
     b = SeedSpec(7, 1).rng().standard_normal(16)
     assert not np.array_equal(a, b)
+
+
+def test_stream_is_philox_keyed_by_master_and_countered_by_index():
+    state = SeedSpec(42, 7).rng().bit_generator.state
+    assert state["bit_generator"] == "Philox"
+    key = np.random.SeedSequence(42).generate_state(2, np.uint64)
+    assert np.array_equal(state["state"]["key"], key)
+    assert state["state"]["counter"].tolist() == [0, 0, 7, 0]
+
+
+@pytest.mark.parametrize("master", (0, 2**64 - 1))
+@pytest.mark.parametrize("index", (0, 1023, 1024, 2**64 - 1))
+def test_normals_are_the_head_of_the_rng_stream_bit_for_bit(master, index):
+    # 37 is not a multiple of the 4-word Philox block
+    a = SeedSpec(master, index).normals(37)
+    b = SeedSpec(master, index).rng().standard_normal(37)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_interleaved_normals_restart_each_stream():
+    a1 = SeedSpec(7, 3).normals(5)
+    b = SeedSpec(7, 4).normals(9)
+    a2 = SeedSpec(7, 3).normals(5)
+    assert np.array_equal(a1, a2)
+    assert not np.array_equal(a1, b[:5])
+
+
+def test_normals_leave_a_live_generator_alone():
+    g = SeedSpec(3, 1).rng()
+    head = g.standard_normal(3)
+    SeedSpec(3, 1).normals(10)
+    SeedSpec(4, 2).normals(7)
+    tail = g.standard_normal(3)
+    expected = SeedSpec(3, 1).rng().standard_normal(6)
+    assert np.array_equal(np.concatenate([head, tail]), expected)
+
+
+def test_normals_from_concurrent_threads_match_their_streams():
+    # each thread reloads its own Philox; a shared one would let a thread
+    # draw from the stream another thread just loaded
+    specs = [SeedSpec(11, i) for i in range(64)]
+    expected = [s.rng().standard_normal(6) for s in specs]
+    mismatches = []
+
+    def worker(offset):
+        for _ in range(200):
+            for k in range(offset, len(specs), 4):
+                if not np.array_equal(specs[k].normals(6), expected[k]):
+                    mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_same_index_differs_across_master_seeds():
+    assert not np.array_equal(SeedSpec(1, 5).normals(8), SeedSpec(2, 5).normals(8))
+
+
+@pytest.mark.parametrize(
+    "spec, head",
+    (
+        (
+            SeedSpec(0, 0),
+            (-0.2059740286292238, -0.12884495093462758, -0.28978987549091256, -1.271943284573895),
+        ),
+        (
+            SeedSpec(42, 7),
+            (0.5974199306229917, -0.6097918849743518, 0.34604660515921365, 0.8755136426733224),
+        ),
+    ),
+)
+def test_stream_golden_values(spec, head):
+    # any change of key, counter layout or generator changes these
+    assert spec.normals(4).tolist() == list(head)
 
 
 def test_seed_spec_rejects_negative_and_oversized():

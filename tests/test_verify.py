@@ -163,7 +163,7 @@ def _failing_covariance_claims() -> set:
 
 
 def test_doubled_sheet_bias_flips_only_the_bias_claim(monkeypatch):
-    monkeypatch.setattr(verify, "sheet_variance_bias", lambda d: 2.0 * sheet_variance_bias(d))
+    monkeypatch.setattr(verify, "sheet_variance_bias", lambda: 2.0 * sheet_variance_bias())
     assert _failing_covariance_claims() == {"sheet-variance-bias"}
 
 
