@@ -17,6 +17,7 @@ Moment references:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -144,37 +145,55 @@ def conditional_moment(k: int) -> float:
     return float(num / den)
 
 
-def second_moment_via_density(z: float, eps1: float, eps2: float) -> float:
-    """E[V_eps1 V_eps2] for the bridge by 2-d quadrature of the smoothed pair density.
+def _bridge_pair_inner(eps1: float, eps2: float, v2: float) -> float:
+    """Integral over v1 in [0, 1] of 1 / sqrt(det Sigma(v1, v2)), in closed form.
 
-    The integrand is the bivariate normal density of the two smoothed
-    marginals at (z, z); its covariance is the bridge covariance
-    min(s, t) (1 - max(s, t)) plus diag(eps1, eps2).  SingularCovariance
-    is raised if the determinant degenerates below 1e-14 anywhere the
-    rule evaluates.
+    With p = v2 (1 - v2) and s = Sigma_22 = p + eps2, det Sigma is a
+    concave quadratic a + s u - c u^2 with a = eps1 s: in u = v1 on
+    [0, v2] with c = s + (1 - v2)^2, and in u = 1 - v1 on [0, 1 - v2] with
+    c = s + v2^2.  Each piece integrates to
+    [arcsin((2 c u - s) / sqrt(s^2 + 4 a c))] / sqrt(c), written as
+    atan2(2 c u - s, 2 sqrt(c det)) so that no 1 - x^2 cancels near
+    x = -1.  Both pieces end at v1 = v2, where det is a + p eps2.
     """
+    p = v2 * (1.0 - v2)
+    s = p + eps2
+    a = eps1 * s
+    det_mid = a + p * eps2
+    total = 0.0
+    for c, length in ((s + (1.0 - v2) ** 2, v2), (s + v2 * v2, 1.0 - v2)):
+        total += (
+            math.atan2(2.0 * c * length - s, 2.0 * math.sqrt(c * det_mid))
+            - math.atan2(-s, 2.0 * math.sqrt(c * a))
+        ) / math.sqrt(c)
+    return total
 
-    def density(v1: float, v2: float) -> float:
-        s11 = v1 * (1.0 - v1) + eps1
-        s22 = v2 * (1.0 - v2) + eps2
-        s12 = min(v1, v2) * (1.0 - max(v1, v2))
-        det = s11 * s22 - s12 * s12
-        if det < 1e-14:
-            raise SingularCovariance(
-                f"two-point covariance determinant {det:.3e} at ({v1:.4f}, {v2:.4f})"
-            )
-        quad_form = (
-            z * z * (s11 + s22 - 2.0 * s12) / det
-        )  # [z, z] Sigma^{-1} [z, z]^T expanded
-        return float(np.exp(-0.5 * quad_form) / (2.0 * np.pi * np.sqrt(det)))
 
-    def inner(v2: float) -> float:
-        left, _ = integrate.quad(lambda v1: density(v1, v2), 0.0, v2, limit=200)
-        right, _ = integrate.quad(lambda v1: density(v1, v2), v2, 1.0, limit=200)
-        return left + right
+def second_moment_via_density(eps1: float, eps2: float) -> float:
+    """E[V_eps1 V_eps2] for the bridge at level 0, from the smoothed pair density.
 
-    val, _ = integrate.quad(inner, 0.0, 1.0, limit=200)
-    return float(val)
+    E[V_eps1 V_eps2] is the integral over (v1, v2) in [0, 1]^2 of the
+    bivariate normal density at (0, 0) with covariance Sigma(v1, v2) =
+    min(v1, v2) (1 - max(v1, v2)) + diag(eps1, eps2), that is
+    1 / (2 pi sqrt(det Sigma)).
+    The v1 integral is in closed form (:func:`_bridge_pair_inner`), and one
+    adaptive rule integrates over v2.  SingularCovariance is raised for a
+    bandwidth <= 0, for which Sigma is singular somewhere on the square.
+    """
+    if eps1 <= 0.0 or eps2 <= 0.0:
+        raise SingularCovariance(
+            f"two-point covariance is singular for bandwidths ({eps1}, {eps2}); "
+            "both must be positive"
+        )
+    val, _ = integrate.quad(
+        lambda v2: _bridge_pair_inner(eps1, eps2, v2),
+        0.0,
+        1.0,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return float(val / (2.0 * np.pi))
 
 
 def expected_motion_local_time_in_window(eps: float, window: float) -> float:
@@ -230,11 +249,14 @@ def motion_values(seed: SeedSpec, n: int) -> np.ndarray:
     return w
 
 
+def _pin_to_bridge(w: np.ndarray) -> np.ndarray:
+    """w(t) - t w(1) on the uniform grid of [0, 1]: a bridge independent of w(1)."""
+    return w - _uniform_points(0.0, 1.0, w.size) * w[-1]
+
+
 def bridge_values(seed: SeedSpec, n: int) -> np.ndarray:
     """w(t) - t w(1) on the uniform n-point grid of [0, 1]; exact in law."""
-    pts = _uniform_points(0.0, 1.0, n)
-    w = motion_values(seed, n)
-    return w - pts * w[-1]
+    return _pin_to_bridge(motion_values(seed, n))
 
 
 def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
@@ -307,19 +329,24 @@ def local_time_replicate(
     return np.concatenate([v, gaps])
 
 
-def motion_endpoint_replicate(
-    seed: SeedSpec, n: int, z: float, extra_eps: float
+def bridge_motion_replicate(
+    seed: SeedSpec, n: int, z: float, schedule: tuple[float, ...], extra_eps: float
 ) -> np.ndarray:
-    """Motion replicate carrying the endpoint for conditional statistics.
+    """One motion path w on [0, 1] serving the bridge and the motion claims.
 
-    Returns (V at extra_eps, w(1)).
+    The bridge is w(t) - t w(1), exactly as :func:`bridge_values` builds it
+    from the same seed.  Returns the bridge's schedule V_eps values and
+    squared gaps (the layout of :func:`local_time_replicate`), then V of w
+    at extra_eps, then w(1).
     """
     floor = bandwidth_floor(1.0, n)
-    if extra_eps < floor:
-        raise BandwidthTooSmall(
-            f"bandwidth {extra_eps:.3e} below resolution floor {floor:.3e} for {n} grid points"
-        )
-    vals = motion_values(seed, n)
+    for eps in (min(schedule), extra_eps):
+        if eps < floor:
+            raise BandwidthTooSmall(
+                f"bandwidth {eps:.3e} below resolution floor {floor:.3e} for {n} grid points"
+            )
+    w = motion_values(seed, n)
     trap_w = _trapezoid_weights(0.0, 1.0, n)
-    v_extra = smoothed_values(vals, trap_w, z, (extra_eps,))
-    return np.concatenate([v_extra, [vals[-1]]])
+    v = smoothed_values(_pin_to_bridge(w), trap_w, z, schedule)
+    v_motion = smoothed_values(w, trap_w, z, (extra_eps,))
+    return np.concatenate([v, np.diff(v) ** 2, v_motion, w[-1:]])

@@ -45,12 +45,12 @@ from .heat_model import (
 from .local_time import (
     bandwidth_floor,
     bridge_moment_exact,
+    bridge_motion_replicate,
     conditional_moment,
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
     levy_density_normalization,
     local_time_replicate,
-    motion_endpoint_replicate,
     second_moment_via_density,
 )
 from .mc import MCResult, RunConfig, run_replicates
@@ -166,10 +166,10 @@ class _Inputs:
         # one stream, read by the gram sweeps in registry order
         return SeedSpec(derive_master(self.config.master_seed, "gram-sweep")).rng()
 
-    def _local_times(self, tag: str, process_tag: str, interval: tuple) -> MCResult:
+    def _heat_local_times(self, tag: str, interval: tuple) -> MCResult:
         task = partial(
             local_time_replicate,
-            process_tag=process_tag,
+            process_tag="heat",
             n=self.config.grid_points,
             interval=interval,
             z=self.config.z,
@@ -179,25 +179,24 @@ class _Inputs:
 
     @cached_property
     def bridge(self) -> MCResult:
-        return self._local_times("mc-bridge", "bridge", (0.0, 1.0))
+        # one motion path per replicate: the bridge's V and gaps, then the
+        # motion's V at extra_eps and w(1) in the last two columns
+        task = partial(
+            bridge_motion_replicate,
+            n=self.config.grid_points,
+            z=self.config.z,
+            schedule=self.config.epsilon_schedule,
+            extra_eps=self.extra_eps,
+        )
+        return self.run("mc-bridge", task, self.config.replicates, return_raw=True)
 
     @cached_property
     def heat_short(self) -> MCResult:
-        return self._local_times("mc-heat-short", "heat", self.config.interval)
+        return self._heat_local_times("mc-heat-short", self.config.interval)
 
     @cached_property
     def heat_long(self) -> MCResult:
-        return self._local_times("mc-heat-long", "heat", LONG_INTERVAL)
-
-    @cached_property
-    def motion(self) -> MCResult:
-        task = partial(
-            motion_endpoint_replicate,
-            n=self.config.grid_points,
-            z=self.config.z,
-            extra_eps=self.extra_eps,
-        )
-        return self.run("mc-motion", task, self.config.replicates, return_raw=True)
+        return self._heat_local_times("mc-heat-long", LONG_INTERVAL)
 
     @cached_property
     def exp_bridge(self) -> float:
@@ -205,7 +204,7 @@ class _Inputs:
 
     @cached_property
     def bridge_q2(self) -> float:
-        return second_moment_via_density(self.config.z, self.eps_star, self.eps_star)
+        return second_moment_via_density(self.eps_star, self.eps_star)
 
     @cached_property
     def exp_window(self) -> float:
@@ -226,8 +225,8 @@ class _Inputs:
     @cached_property
     def window_mean(self) -> tuple[float, float | None]:
         # V at extra_eps on the replicates whose endpoint lies in the window
-        raw = self.motion.raw
-        sample = raw[:, 0][np.abs(raw[:, 1]) < _WINDOW]
+        raw = self.bridge.raw
+        sample = raw[:, -2][np.abs(raw[:, -1]) < _WINDOW]
         if sample.size < 2:
             return 0.0, None
         return float(np.mean(sample)), float(np.std(sample, ddof=1) / np.sqrt(sample.size))
@@ -454,14 +453,13 @@ def _heat_mean(inputs: _Inputs, long: bool):
 
 
 def _second_moment_monotone(inputs: _Inputs):
-    z = inputs.config.z
-    values = [second_moment_via_density(z, e, e) for e in inputs.config.epsilon_schedule[:4]]
+    values = [second_moment_via_density(e, e) for e in inputs.config.epsilon_schedule[:4]]
     # epsilon decreases along the schedule, so the values must rise
     return [b - a for a, b in zip(values, values[1:])], 1e-10
 
 
 def _endpoint_moments(inputs: _Inputs):
-    w1 = inputs.motion.raw[:, 1]
+    w1 = inputs.bridge.raw[:, -1]
     n = w1.size
     if n < 2:
         return 0.0, 0.0, 4.0
@@ -474,7 +472,7 @@ def _endpoint_moments(inputs: _Inputs):
 
 
 def _cauchy(inputs: _Inputs, family: str):
-    gaps = [float(g) for g in getattr(inputs, family).mean[inputs.k :]]
+    gaps = [float(g) for g in getattr(inputs, family).mean[inputs.k : 2 * inputs.k - 1]]
     return [a - b for a, b in zip(gaps, gaps[1:])], 0.0
 
 

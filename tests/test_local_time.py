@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from heatlocal.errors import (
     BandwidthTooSmall,
     NonPositiveA,
+    SingularCovariance,
     UnknownProcess,
     UnsupportedOrder,
 )
 from heatlocal.local_time import (
+    _bridge_pair_inner,
     bridge_moment_exact,
+    bridge_motion_replicate,
     bridge_values,
     conditional_moment,
     expected_motion_local_time_in_window,
@@ -20,7 +24,6 @@ from heatlocal.local_time import (
     levy_joint_density,
     local_time_replicate,
     marginal_variance,
-    motion_endpoint_replicate,
     motion_values,
     _trapezoid_weights,
     path_values,
@@ -45,6 +48,15 @@ BRIDGE_M2_SWEEP = {
     0.04: 1.0012721912427394,
     0.02: 1.2238222175081401,
     0.01: 1.4135720851636515,
+}
+
+# E V_eps^2 on the bridge from mpmath 1.3.0 at mp.dps = 40: the pair density
+# 1 / (2 pi sqrt(det Sigma)) integrated over the triangles v1 < v2 and
+# v1 > v2, each mapped onto the unit square, by 2-d tanh-sinh and by 2-d
+# Gauss-Legendre (they agree to 25 digits), at the float bandwidths
+BRIDGE_M2_MPMATH = {
+    0.005: 1.5658021720447239027,
+    0.08: 0.76190873290119627850,
 }
 
 
@@ -101,13 +113,34 @@ def test_smoothed_mean_decreases_with_bandwidth_at_zero_level():
 
 
 def test_second_moment_frozen_values():
-    assert second_moment_via_density(0.0, 0.005, 0.005) == pytest.approx(
+    assert second_moment_via_density(0.005, 0.005) == pytest.approx(
         BRIDGE_M2_EPS_005, rel=1e-8
     )
     for eps, expected in BRIDGE_M2_SWEEP.items():
-        assert second_moment_via_density(0.0, eps, eps) == pytest.approx(
+        assert second_moment_via_density(eps, eps) == pytest.approx(
             expected, rel=1e-8
         )
+
+
+def test_second_moment_matches_high_precision_oracle():
+    for eps, expected in BRIDGE_M2_MPMATH.items():
+        assert second_moment_via_density(eps, eps) == pytest.approx(expected, rel=1e-13)
+    with pytest.raises(SingularCovariance):
+        second_moment_via_density(0.0, 0.005)
+
+
+def _pair_det(v1, v2, eps1, eps2):
+    s12 = min(v1, v2) * (1.0 - max(v1, v2))
+    return (v1 * (1.0 - v1) + eps1) * (v2 * (1.0 - v2) + eps2) - s12 * s12
+
+
+@pytest.mark.parametrize("eps1, eps2", [(0.005, 0.005), (0.08, 0.08), (0.02, 0.005)])
+@pytest.mark.parametrize("v2", [0.0, 1e-9, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-9, 1.0])
+def test_pair_inner_integral_matches_adaptive_rule(eps1, eps2, v2):
+    f = lambda v1: 1.0 / np.sqrt(_pair_det(v1, v2, eps1, eps2))
+    left, _ = integrate.quad(f, 0.0, v2, epsabs=0.0, epsrel=1e-13, limit=200)
+    right, _ = integrate.quad(f, v2, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert _bridge_pair_inner(eps1, eps2, v2) == pytest.approx(left + right, rel=1e-12)
 
 
 def test_marginal_variances():
@@ -131,8 +164,11 @@ def test_replicates_require_resolvable_bandwidth():
     # 64 points on [0, 1] resolve bandwidths down to 4/63
     with pytest.raises(BandwidthTooSmall, match="floor"):
         local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (1e-4,))
+    # the joint task refuses a schedule and an extra bandwidth below the floor
     with pytest.raises(BandwidthTooSmall, match="floor"):
-        motion_endpoint_replicate(SeedSpec(5), 64, 0.0, extra_eps=1e-4)
+        bridge_motion_replicate(SeedSpec(5), 64, 0.0, (0.08, 1e-4), extra_eps=0.08)
+    with pytest.raises(BandwidthTooSmall, match="floor"):
+        bridge_motion_replicate(SeedSpec(5), 64, 0.0, (0.08,), extra_eps=1e-4)
     out = local_time_replicate(SeedSpec(5), "bridge", 64, (0.0, 1.0), 0.0, (0.08,))
     assert out.shape == (1,)
     assert out[0] > 0.0
@@ -147,14 +183,25 @@ def test_replicate_layout_and_gap_consistency():
     assert np.all(v > 0.0)
 
 
+def test_bridge_motion_replicate_bridge_columns_match_bridge_task():
+    sched = DEFAULT_EPSILON_SCHEDULE
+    for index in (0, 1, 1025):
+        seed = SeedSpec(4, index)
+        out = bridge_motion_replicate(seed, 1024, 0.0, sched, extra_eps=0.02)
+        bridge = local_time_replicate(seed, "bridge", 1024, (0.0, 1.0), 0.0, sched)
+        assert out.shape == (2 * len(sched) + 1,)
+        assert out[:-2].tobytes() == bridge.tobytes()
+
+
 def test_motion_replicate_carries_endpoint():
-    out = motion_endpoint_replicate(SeedSpec(4), 512, 0.0, extra_eps=0.02)
-    assert out.shape == (2,)
-    w1 = motion_values(SeedSpec(4), 512)[-1]
-    assert out[1] == w1
-    # the first column is the bandwidth-0.02 replicate of the same path
-    v = local_time_replicate(SeedSpec(4), "motion", 512, (0.0, 1.0), 0.0, (0.02,))
-    assert out[0] == v[0]
+    trap_w = _trapezoid_weights(0.0, 1.0, 512)
+    for index in (0, 1, 1025):
+        seed = SeedSpec(4, index)
+        out = bridge_motion_replicate(seed, 512, 0.0, (0.08, 0.04), extra_eps=0.02)
+        w = motion_values(seed, 512)
+        # the last two columns are V of the motion path at extra_eps and w(1)
+        assert out[-2] == smoothed_values(w, trap_w, 0.0, (0.02,))[0]
+        assert out[-1] == w[-1]
 
 
 def test_window_mean_approaches_conditional_moment():

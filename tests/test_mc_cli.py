@@ -16,7 +16,7 @@ from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
-from heatlocal.local_time import local_time_replicate, motion_endpoint_replicate
+from heatlocal.local_time import bridge_motion_replicate, local_time_replicate
 from heatlocal.mc import CHUNK, MCResult, RunConfig, config_dict, run_replicates
 from heatlocal.reports import (
     AggregateTable,
@@ -92,7 +92,7 @@ _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
         partial(local_time_replicate, process_tag="heat", interval=(0.0, 2.0), **_PATHS),
         partial(local_time_replicate, process_tag="bridge", interval=(0.0, 1.0), **_PATHS),
         partial(local_time_replicate, process_tag="motion", interval=(0.0, 1.0), **_PATHS),
-        partial(motion_endpoint_replicate, n=257, z=0.0, extra_eps=0.02),
+        partial(bridge_motion_replicate, extra_eps=0.02, **_PATHS),
     ),
 )
 def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):

@@ -280,9 +280,7 @@ def test_verify_deterministic_across_jobs():
         assert a.status == b.status
 
 
-FAMILY_TAGS = (
-    "qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short", "mc-heat-long", "mc-motion"
-)
+FAMILY_TAGS = ("qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short", "mc-heat-long")
 
 # calls per run of each quadrature the suite reads through heatlocal.verify
 QUADRATURE_CALLS = {
