@@ -13,7 +13,7 @@ from R.  The sheet route never uses R: it discretises the driving sheet,
 sums the heat-kernel Riemann sums into the exact covariance K K^T of the
 discretised field, and samples that law through its Cholesky factor.  The
 circulant-embedding weights behind the uniform-grid sampler
-``local_time.heat_values`` live here too.
+``local_time.heat_paths`` live here too.
 """
 
 from __future__ import annotations

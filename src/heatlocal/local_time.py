@@ -6,6 +6,11 @@ path.  Its mean is available in closed quadrature form for every process
 here (Brownian bridge, Brownian motion, and the heat-field increment
 process), which is what the Monte Carlo identities test against.
 
+The Monte Carlo tasks share their draws where claims allow it: one motion
+path serves the bridge and the motion claims, and one set of normals
+drives the heat field on several intervals.  Each interval's or
+process's numbers are those of a task of its own on the same seed.
+
 Moment references:
 
 * bridge local time at level 0 has k-th moment 2^(k/2) Gamma(k/2 + 1);
@@ -31,7 +36,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .heat_model import _embedding_weights, covariance_R
-from .sampling import SeedSpec, sample_stationary_values
+from .sampling import SeedSpec, _half_spectrum, _weighted_synthesis
 
 
 def bandwidth_floor(span: float, n: int) -> float:
@@ -259,12 +264,24 @@ def bridge_values(seed: SeedSpec, n: int) -> np.ndarray:
     return _pin_to_bridge(motion_values(seed, n))
 
 
+def heat_paths(
+    seed: SeedSpec, n: int, intervals: tuple[tuple[float, float], ...]
+) -> list[np.ndarray]:
+    """Increment fields on the uniform n-point grids of several intervals.
+
+    Each is exact in law.  The embedding length depends on n only, so one
+    half spectrum of normals drives every interval through its own weights
+    and inverse FFT: the paths are dependent, and each is the path its
+    interval alone would get from the seed.
+    """
+    weights = [_embedding_weights(n, (hi - lo) / (n - 1)) for lo, hi in intervals]
+    y = _half_spectrum(seed.normals(weights[0].size))
+    return [x - x[0] for x in (_weighted_synthesis(w, y, n) for w in weights)]
+
+
 def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
     """Increment field on the uniform n-point grid of [lo, hi], exact in law."""
-    spacing = (hi - lo) / (n - 1)
-    weights = _embedding_weights(n, spacing)
-    x = sample_stationary_values(weights, seed, n)
-    return x - x[0]
+    return heat_paths(seed, n, ((lo, hi),))[0]
 
 
 def path_values(
@@ -303,6 +320,45 @@ def smoothed_values(
     return out
 
 
+def _require_resolvable(bandwidth: float, span: float, n: int) -> None:
+    floor = bandwidth_floor(span, n)
+    if bandwidth < floor:
+        raise BandwidthTooSmall(
+            f"bandwidth {bandwidth:.3e} below resolution floor {floor:.3e} "
+            f"for {n} grid points on a span of {span:g}"
+        )
+
+
+def _local_time_block(
+    values: np.ndarray, interval: tuple[float, float], z: float, schedule: tuple[float, ...]
+) -> np.ndarray:
+    """The schedule's V_eps values of one path, then their squared gaps."""
+    v = smoothed_values(values, _trapezoid_weights(*interval, values.size), z, schedule)
+    return np.concatenate([v, np.diff(v) ** 2])
+
+
+def heat_replicate(
+    seed: SeedSpec,
+    n: int,
+    intervals: tuple[tuple[float, float], ...],
+    z: float,
+    schedule: tuple[float, ...],
+) -> np.ndarray:
+    """One heat draw, through :func:`heat_paths`, for several intervals.
+
+    For each interval in turn the output holds the layout of
+    :func:`local_time_replicate`: the schedule's V_eps values, then their
+    squared gaps.  Every interval must resolve the schedule before
+    anything is drawn.
+    """
+    for lo, hi in intervals:
+        _require_resolvable(min(schedule), hi - lo, n)
+    paths = heat_paths(seed, n, intervals)
+    return np.concatenate(
+        [_local_time_block(x, iv, z, schedule) for x, iv in zip(paths, intervals)]
+    )
+
+
 def local_time_replicate(
     seed: SeedSpec,
     process_tag: str,
@@ -314,19 +370,14 @@ def local_time_replicate(
     """One replicate for the local-time suite.
 
     Returns the schedule's V_eps values followed by the squared gaps of
-    consecutive pairs (paired on this single path).
+    consecutive pairs (paired on this single path).  The heat process is
+    :func:`heat_replicate` on the one interval.
     """
+    if process_tag == "heat":
+        return heat_replicate(seed, n, (interval,), z, schedule)
     lo, hi = interval
-    floor = bandwidth_floor(hi - lo, n)
-    if min(schedule) < floor:
-        raise BandwidthTooSmall(
-            f"schedule minimum {min(schedule):.3e} below floor {floor:.3e}"
-        )
-    vals = path_values(process_tag, seed, n, interval)
-    trap_w = _trapezoid_weights(lo, hi, n)
-    v = smoothed_values(vals, trap_w, z, schedule)
-    gaps = np.diff(v) ** 2
-    return np.concatenate([v, gaps])
+    _require_resolvable(min(schedule), hi - lo, n)
+    return _local_time_block(path_values(process_tag, seed, n, interval), interval, z, schedule)
 
 
 def bridge_motion_replicate(
@@ -339,14 +390,9 @@ def bridge_motion_replicate(
     squared gaps (the layout of :func:`local_time_replicate`), then V of w
     at extra_eps, then w(1).
     """
-    floor = bandwidth_floor(1.0, n)
     for eps in (min(schedule), extra_eps):
-        if eps < floor:
-            raise BandwidthTooSmall(
-                f"bandwidth {eps:.3e} below resolution floor {floor:.3e} for {n} grid points"
-            )
+        _require_resolvable(eps, 1.0, n)
     w = motion_values(seed, n)
-    trap_w = _trapezoid_weights(0.0, 1.0, n)
-    v = smoothed_values(_pin_to_bridge(w), trap_w, z, schedule)
-    v_motion = smoothed_values(w, trap_w, z, (extra_eps,))
-    return np.concatenate([v, np.diff(v) ** 2, v_motion, w[-1:]])
+    bridge = _local_time_block(_pin_to_bridge(w), (0.0, 1.0), z, schedule)
+    v_motion = smoothed_values(w, _trapezoid_weights(0.0, 1.0, n), z, (extra_eps,))
+    return np.concatenate([bridge, v_motion, w[-1:]])

@@ -8,6 +8,10 @@ the third of the four 64-bit counter words, and draws advance only the
 first, so distinct indices read disjoint counter ranges.  Identical specs
 give bit-identical output on every platform and worker layout, which is
 what makes the parallel Monte Carlo engine deterministic.
+
+Stationary sequences are drawn by circulant embedding in two steps: m
+normals are packed into a half spectrum, which any embedding of length m
+then weights and inverts, so one draw can serve several embeddings.
 """
 
 from __future__ import annotations
@@ -206,27 +210,41 @@ def circulant_embedding_weights(cov_sequence: np.ndarray) -> np.ndarray:
     return np.sqrt(lam / lam.size)
 
 
-def _stationary_synthesis(weights: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """First n values of the circulant field driven by m real normals z.
+def _half_spectrum(z: np.ndarray) -> np.ndarray:
+    """Hermitian half spectrum of m real normals z (Dietrich & Newsam 1997).
 
-    The Hermitian half spectrum (Dietrich & Newsam 1997) takes y[0] = z[0]
-    and y[m/2] = z[m/2] real and y[k] = (z[k] + i z[m/2 + k]) / sqrt(2) for
-    0 < k < m/2.  Since the weights are symmetric, w[k] = w[m - k], the
-    real sequence m * irfft(w[:m/2+1] y) has covariance exactly the
-    circulant, so the map is linear in z and its first n x n block is the
-    Toeplitz covariance.  ``norm="forward"`` leaves the inverse transform
-    unscaled, which is the factor m; y is a scratch buffer, so the
-    transform may overwrite it.
+    y[0] = z[0] and y[m/2] = z[m/2] are real, and y[k] = (z[k] + i
+    z[m/2 + k]) / sqrt(2) for 0 < k < m/2, so that the unscaled inverse
+    real transform of y / sqrt(m) is m independent standard normals.  One
+    half spectrum can drive several weightings: :func:`_weighted_synthesis`
+    leaves it as it is.
     """
-    m = weights.size
-    h = m // 2
+    h = z.size // 2
     y = np.empty(h + 1, dtype=complex)
     y.real = z[: h + 1]
     y.imag[0] = y.imag[h] = 0.0
     y.imag[1:h] = z[h + 1 :]
     y[1:h] *= np.sqrt(0.5)
-    y *= weights[: h + 1]
-    return irfft(y, n=m, norm="forward", overwrite_x=True)[:n]
+    return y
+
+
+def _weighted_synthesis(weights: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """First n values of m * irfft(w[:m/2+1] y) for a half spectrum y.
+
+    Since the weights are symmetric, w[k] = w[m - k], the real sequence
+    has covariance exactly the circulant, so the map is linear in the
+    normals and its first n x n block is the Toeplitz covariance.
+    ``norm="forward"`` leaves the inverse transform unscaled, which is the
+    factor m; the weighted spectrum is a fresh buffer the transform may
+    overwrite.
+    """
+    spectrum = y * weights[: y.size]
+    return irfft(spectrum, n=weights.size, norm="forward", overwrite_x=True)[:n]
+
+
+def _stationary_synthesis(weights: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """First n values of the circulant field driven by m real normals z."""
+    return _weighted_synthesis(weights, _half_spectrum(z), n)
 
 
 def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.ndarray:

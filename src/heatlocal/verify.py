@@ -49,8 +49,8 @@ from .local_time import (
     conditional_moment,
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
+    heat_replicate,
     levy_density_normalization,
-    local_time_replicate,
     second_moment_via_density,
 )
 from .mc import MCResult, RunConfig, run_replicates
@@ -97,13 +97,15 @@ def _check_suite_config(config: RunConfig) -> None:
     # motion reference takes no level at all
     if config.z != 0.0:
         raise ConfigError(f"the local-time claims check level 0 only, got z = {config.z}")
-    floor = bandwidth_floor(LONG_INTERVAL[1] - LONG_INTERVAL[0], config.grid_points)
-    if min(config.epsilon_schedule) < floor:
-        raise ConfigError(
-            f"epsilon schedule minimum {min(config.epsilon_schedule)} below the "
-            f"bandwidth floor {floor:.3e} of the long-interval run at "
-            f"{config.grid_points} grid points"
-        )
+    # the heat claims run on --interval whatever --process is
+    for lo, hi in (config.interval, LONG_INTERVAL):
+        floor = bandwidth_floor(hi - lo, config.grid_points)
+        if min(config.epsilon_schedule) < floor:
+            raise ConfigError(
+                f"epsilon schedule minimum {min(config.epsilon_schedule)} below the "
+                f"bandwidth floor {floor:.3e} of the heat run on ({lo:g}, {hi:g}) at "
+                f"{config.grid_points} grid points"
+            )
 
 
 def derive_master(master_seed: int, tag: str) -> int:
@@ -132,6 +134,7 @@ class _Inputs:
         self.k = len(config.epsilon_schedule)
         self.eps_star = config.epsilon_schedule[-1]
         self.extra_eps = max(5e-4, bandwidth_floor(1.0, config.grid_points))
+        self.heat_intervals = (config.interval, LONG_INTERVAL)
 
     def run(self, tag: str, task, replicates: int, return_raw: bool = False) -> MCResult:
         return run_replicates(
@@ -166,17 +169,6 @@ class _Inputs:
         # one stream, read by the gram sweeps in registry order
         return SeedSpec(derive_master(self.config.master_seed, "gram-sweep")).rng()
 
-    def _heat_local_times(self, tag: str, interval: tuple) -> MCResult:
-        task = partial(
-            local_time_replicate,
-            process_tag="heat",
-            n=self.config.grid_points,
-            interval=interval,
-            z=self.config.z,
-            schedule=self.config.epsilon_schedule,
-        )
-        return self.run(tag, task, self.config.replicates)
-
     @cached_property
     def bridge(self) -> MCResult:
         # one motion path per replicate: the bridge's V and gaps, then the
@@ -191,12 +183,17 @@ class _Inputs:
         return self.run("mc-bridge", task, self.config.replicates, return_raw=True)
 
     @cached_property
-    def heat_short(self) -> MCResult:
-        return self._heat_local_times("mc-heat-short", self.config.interval)
-
-    @cached_property
-    def heat_long(self) -> MCResult:
-        return self._heat_local_times("mc-heat-long", LONG_INTERVAL)
+    def heat(self) -> MCResult:
+        # one heat draw per replicate for both intervals: the V and gaps on
+        # --interval, then those on LONG_INTERVAL
+        task = partial(
+            heat_replicate,
+            n=self.config.grid_points,
+            intervals=self.heat_intervals,
+            z=self.config.z,
+            schedule=self.config.epsilon_schedule,
+        )
+        return self.run("mc-heat-short", task, self.config.replicates)
 
     @cached_property
     def exp_bridge(self) -> float:
@@ -444,12 +441,11 @@ def _value(inputs: _Inputs, estimate: str, reference: str, order: int, rel_tol: 
     return value * factor, exact, rel_tol * exact, se * factor
 
 
-def _heat_mean(inputs: _Inputs, long: bool):
-    res = inputs.heat_long if long else inputs.heat_short
-    interval = LONG_INTERVAL if long else inputs.config.interval
+def _heat_mean(inputs: _Inputs, block: int):
+    interval = inputs.heat_intervals[block]
     expected = expected_smoothed_local_time("heat", inputs.config.z, inputs.eps_star, interval)
-    k = inputs.k
-    return float(res.mean[k - 1]), expected, 0.0, float(res.stderr[k - 1])
+    i = block * (2 * inputs.k - 1) + inputs.k - 1
+    return float(inputs.heat.mean[i]), expected, 0.0, float(inputs.heat.stderr[i])
 
 
 def _second_moment_monotone(inputs: _Inputs):
@@ -471,8 +467,10 @@ def _endpoint_moments(inputs: _Inputs):
     return worst, 0.0, 4.0
 
 
-def _cauchy(inputs: _Inputs, family: str):
-    gaps = [float(g) for g in getattr(inputs, family).mean[inputs.k : 2 * inputs.k - 1]]
+def _cauchy(inputs: _Inputs, family: str, block: int = 0):
+    # the family's columns run in blocks of k values and k - 1 gaps
+    start = block * (2 * inputs.k - 1) + inputs.k
+    gaps = [float(g) for g in getattr(inputs, family).mean[start : start + inputs.k - 1]]
     return [a - b for a, b in zip(gaps, gaps[1:])], 0.0
 
 
@@ -543,8 +541,8 @@ CLAIMS: tuple[Claim, ...] = (
         "localtime",
         ("local-time-mean-bridge", TWO_SIDED, True, _estimate, "bridge_mean", "exp_bridge"),
         ("bridge-mean-value", TWO_SIDED, True, _value, "bridge_mean", "exp_bridge", 1, 0.05),
-        ("local-time-mean-heat-short", TWO_SIDED, True, _heat_mean, False),
-        ("local-time-mean-heat-long", TWO_SIDED, True, _heat_mean, True),
+        ("local-time-mean-heat-short", TWO_SIDED, True, _heat_mean, 0),
+        ("local-time-mean-heat-long", TWO_SIDED, True, _heat_mean, 1),
         ("bridge-second-moment", TWO_SIDED, True, _estimate, "bridge_m2", "bridge_q2"),
         ("bridge-second-moment-value", TWO_SIDED, True, _value, "bridge_m2", "exp_bridge", 2, 0.10),
         ("second-moment-monotone", BOUND, False, _second_moment_monotone),
@@ -552,8 +550,8 @@ CLAIMS: tuple[Claim, ...] = (
         ("levy-conditional-mean", TWO_SIDED, True, _estimate, "window_mean", "exp_window"),
         ("levy-conditional-value", TWO_SIDED, True, _value, "window_mean", "exp_window", 1, 0.05),
         ("cauchy-monotone-bridge", BOUND, True, _cauchy, "bridge"),
-        ("cauchy-monotone-heat-short", BOUND, True, _cauchy, "heat_short"),
-        ("cauchy-monotone-heat-long", BOUND, True, _cauchy, "heat_long"),
+        ("cauchy-monotone-heat-short", BOUND, True, _cauchy, "heat", 0),
+        ("cauchy-monotone-heat-long", BOUND, True, _cauchy, "heat", 1),
     ),
 )
 

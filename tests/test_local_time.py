@@ -19,6 +19,7 @@ from heatlocal.local_time import (
     conditional_moment,
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
+    heat_replicate,
     heat_values,
     levy_density_normalization,
     levy_joint_density,
@@ -191,6 +192,28 @@ def test_bridge_motion_replicate_bridge_columns_match_bridge_task():
         bridge = local_time_replicate(seed, "bridge", 1024, (0.0, 1.0), 0.0, sched)
         assert out.shape == (2 * len(sched) + 1,)
         assert out[:-2].tobytes() == bridge.tobytes()
+
+
+def test_heat_replicate_blocks_match_single_interval_task():
+    sched = DEFAULT_EPSILON_SCHEDULE
+    intervals = ((0.0, 2.0), (0.0, 5.0))
+    for index in (0, 1, 1025):
+        seed = SeedSpec(4, index)
+        out = heat_replicate(seed, 8192, intervals, 0.0, sched)
+        width = 2 * len(sched) - 1
+        assert out.shape == (2 * width,)
+        for block, interval in enumerate(intervals):
+            single = local_time_replicate(seed, "heat", 8192, interval, 0.0, sched)
+            assert out[block * width : (block + 1) * width].tobytes() == single.tobytes()
+
+
+def test_heat_replicate_requires_every_interval_resolvable():
+    # 257 points resolve 0.04 on (0, 2) (floor 1/32) but not on (0, 5) (floor 0.078)
+    for intervals in (((0.0, 2.0), (0.0, 5.0)), ((0.0, 5.0), (0.0, 2.0))):
+        with pytest.raises(BandwidthTooSmall, match="floor"):
+            heat_replicate(SeedSpec(5), 257, intervals, 0.0, (0.08, 0.04))
+    out = heat_replicate(SeedSpec(5), 257, ((0.0, 2.0), (0.0, 1.0)), 0.0, (0.08, 0.04))
+    assert out.shape == (6,)
 
 
 def test_motion_replicate_carries_endpoint():

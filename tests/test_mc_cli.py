@@ -16,7 +16,7 @@ from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
-from heatlocal.local_time import bridge_motion_replicate, local_time_replicate
+from heatlocal.local_time import bridge_motion_replicate, heat_replicate, local_time_replicate
 from heatlocal.mc import CHUNK, MCResult, RunConfig, config_dict, run_replicates
 from heatlocal.reports import (
     AggregateTable,
@@ -79,7 +79,8 @@ def test_results_identical_across_worker_counts():
 
 
 _INCREMENTS = dict(points=(0.6, 0.9, 1.2, 1.5, 1.8, 2.0), interval=(0.0, 2.0))
-# a 257-point grid resolves the schedule on (0, 2) and the extra bandwidth on (0, 1)
+# a 257-point grid resolves the schedule on (0, 1) and (0, 2), not on (0, 5),
+# and the extra bandwidth on (0, 1)
 _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
 
 
@@ -93,6 +94,7 @@ _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
         partial(local_time_replicate, process_tag="bridge", interval=(0.0, 1.0), **_PATHS),
         partial(local_time_replicate, process_tag="motion", interval=(0.0, 1.0), **_PATHS),
         partial(bridge_motion_replicate, extra_eps=0.02, **_PATHS),
+        partial(heat_replicate, intervals=((0.0, 1.0), (0.0, 2.0)), **_PATHS),
     ),
 )
 def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatlocal import heat_model, local_time, verify
+from heatlocal import cli, heat_model, local_time, verify
 from heatlocal.errors import ConfigError
 from heatlocal.grids import SpatialGrid
 from heatlocal.gram import bridge_moment_from_simplex, gram_det
@@ -268,6 +268,21 @@ def test_coarse_grid_rejected_before_any_sampling():
         verify_all(cfg)
 
 
+def test_unresolvable_heat_interval_rejected_before_any_sampling(forbid_in_verify, capsys):
+    # --interval feeds the heat claims whatever --process is: a 20-unit span
+    # at 8192 points has floor 9.8e-3, above the schedule's 0.005
+    blocks = ("spectral_reports", "gram_reports", "moment_reports", "covariance_reports")
+    forbid_in_verify("run_replicates", *blocks)
+    cfg = RunConfig(replicates=10, process="bridge", interval=(0.0, 20.0))
+    with pytest.raises(ConfigError, match=r"floor .* \(0, 20\)"):
+        verify_all(cfg)
+    with pytest.raises(ConfigError, match="floor"):
+        localtime_reports(cfg)
+    argv = ["verify", "--process", "bridge", "--interval", "0", "20", "--reps", "10"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_verify_deterministic_across_jobs():
     kwargs = dict(replicates=120, grid_points=4096, master_seed=11)
     serial = verify_all(RunConfig(jobs=1, **kwargs))
@@ -280,7 +295,8 @@ def test_verify_deterministic_across_jobs():
         assert a.status == b.status
 
 
-FAMILY_TAGS = ("qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short", "mc-heat-long")
+# one family serves both heat intervals, on the heat-short sub-seed
+FAMILY_TAGS = ("qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short")
 
 # calls per run of each quadrature the suite reads through heatlocal.verify
 QUADRATURE_CALLS = {
