@@ -24,8 +24,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
-from .local_time import local_time_replicate, path_values, process_interval
-from .mc import DEFAULT_EPSILON_SCHEDULE, PROCESSES, RunConfig, config_dict, run_replicates
+from .local_time import local_time_replicate, path_values, process_interval, require_resolvable
+from .mc import PROCESSES, RunConfig, config_dict, run_replicates
 from .reports import (
     AggregateTable,
     reports_to_csv,
@@ -57,53 +57,67 @@ def _eps_schedule(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--interval", nargs=2, type=float, default=(0.0, 2.0), metavar=("A", "B"),
-        help="heat-process parameter interval (bridge and motion pin to (0, 1))",
-    )
-    common.add_argument("--grid", type=int, default=8192, help="uniform grid points per path")
-    common.add_argument(
-        "--eps", type=_eps_schedule, default=DEFAULT_EPSILON_SCHEDULE,
-        metavar="E1,E2,...", help="decreasing smoothing bandwidths",
-    )
-    common.add_argument("--reps", type=int, default=50_000, help="Monte Carlo replicates")
-    common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--z", type=float, default=0.0, help="local-time level (verify needs 0)")
-    common.add_argument("--process", choices=PROCESSES, default="heat")
+# the run flags each subcommand takes, besides --out and --format: exactly
+# those its code reads.  A RunConfig field no flag sets keeps its default
+# and is left out of the JSON config.
+COMMAND_FLAGS = {
+    "simulate": ("interval", "grid", "reps", "seed", "jobs", "process"),
+    "localtime": ("interval", "grid", "eps", "reps", "seed", "jobs", "z", "process"),
+    "verify": ("interval", "grid", "eps", "reps", "seed", "jobs"),
+    "spectral": ("reps", "seed", "jobs"),
+    "gram": ("seed",),
+    "moments": ("reps",),
+}
 
+# the add_argument options of each run flag; its dest is the RunConfig field it sets
+_FLAG_OPTIONS = {
+    "interval": dict(nargs=2, type=float, metavar=("A", "B"),
+                     help="heat-process parameter interval (bridge and motion pin to (0, 1))"),
+    "grid": dict(dest="grid_points", type=int, help="uniform grid points per path"),
+    "eps": dict(dest="epsilon_schedule", type=_eps_schedule, metavar="E1,E2,...",
+                help="decreasing smoothing bandwidths"),
+    "reps": dict(dest="replicates", type=int, help="Monte Carlo replicates"),
+    "seed": dict(dest="master_seed", type=int, help="64-bit master seed"),
+    "jobs": dict(type=int, help="worker processes"),
+    "z": dict(type=float, help="local-time level"),
+    "process": dict(choices=PROCESSES),
+}
+
+_HELP = {
+    "simulate": "aggregate path statistics per grid point",
+    "localtime": "smoothed local-time aggregates per bandwidth",
+    "moments": "moment and density identity claims",
+    "spectral": "quadratic-form and bound claims",
+    "gram": "Gram determinant claims",
+    "verify": "the full claim suite",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatlocal",
         description="Simulation and claim verification for the fixed-time "
         "heat-equation field and kernel-smoothed local times.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="aggregate path statistics per grid point")
-    sub.add_parser(
-        "localtime", parents=[common], help="smoothed local-time aggregates per bandwidth"
-    )
-    sub.add_parser("moments", parents=[common], help="moment and density identity claims")
-    sub.add_parser("spectral", parents=[common], help="quadratic-form and bound claims")
-    sub.add_parser("gram", parents=[common], help="Gram determinant claims")
-    sub.add_parser("verify", parents=[common], help="the full claim suite")
+    for command, help_text in _HELP.items():
+        # an omitted run flag sets no attribute, so RunConfig's default holds
+        cmd = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in COMMAND_FLAGS[command]:
+            cmd.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
+        cmd.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        interval=tuple(args.interval),
-        grid_points=args.grid,
-        epsilon_schedule=args.eps,
-        replicates=args.reps,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        z=args.z,
-        process=args.process,
-    )
+    run_flags = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
+    return RunConfig(**run_flags)
+
+
+def config_fields(command: str) -> set[str]:
+    """The RunConfig fields the flags of ``command`` set."""
+    return {_FLAG_OPTIONS[flag].get("dest", flag) for flag in COMMAND_FLAGS[command]}
 
 
 def _moments(res, i: int) -> tuple[float, ...]:
@@ -123,6 +137,8 @@ def _simulate_table(config: RunConfig) -> AggregateTable:
 def _localtime_table(config: RunConfig) -> AggregateTable:
     interval = process_interval(config.process, config.interval)
     sched = config.epsilon_schedule
+    # a replicate's own check would end the run as a ReplicateFailure
+    require_resolvable(min(sched), interval, config.grid_points)
     task = partial(
         local_time_replicate,
         process_tag=config.process,
@@ -188,13 +204,7 @@ def _out_problem(path: str | None) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     problem = _out_problem(args.out)
     if problem is not None:
         print(f"output error: {problem}", file=sys.stderr)
@@ -202,6 +212,7 @@ def main(argv=None) -> int:
 
     reports = []
     try:
+        config = config_from_args(args)
         if args.command in _REPORT_COMMANDS:
             reports = _REPORT_COMMANDS[args.command](config)
             body, to_csv, to_json = reports, reports_to_csv, reports_to_json
@@ -211,7 +222,9 @@ def main(argv=None) -> int:
         if args.format == "csv":
             text = to_csv(body)
         else:
-            text = to_json(body, {"command": args.command, **config_dict(config)}, __version__)
+            taken = config_fields(args.command)
+            recorded = {k: v for k, v in config_dict(config).items() if k in taken}
+            text = to_json(body, {"command": args.command, **recorded}, __version__)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

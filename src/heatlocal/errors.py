@@ -41,7 +41,7 @@ class UnsupportedOrder(HeatLocalError):
     """Moment or integral order outside the implemented range."""
 
 
-class BandwidthTooSmall(HeatLocalError):
+class BandwidthTooSmall(ConfigError):
     """Smoothing bandwidth below the resolution floor of the path grid."""
 
 

@@ -320,12 +320,14 @@ def smoothed_values(
     return out
 
 
-def _require_resolvable(bandwidth: float, span: float, n: int) -> None:
-    floor = bandwidth_floor(span, n)
+def require_resolvable(bandwidth: float, interval: tuple[float, float], n: int) -> None:
+    """Refuse a bandwidth below the floor of the n-point grid of ``interval``."""
+    lo, hi = interval
+    floor = bandwidth_floor(hi - lo, n)
     if bandwidth < floor:
         raise BandwidthTooSmall(
-            f"bandwidth {bandwidth:.3e} below resolution floor {floor:.3e} "
-            f"for {n} grid points on a span of {span:g}"
+            f"bandwidth {bandwidth:.3e} below the resolution floor {floor:.3e} "
+            f"of {n} grid points on ({lo:g}, {hi:g})"
         )
 
 
@@ -351,8 +353,8 @@ def heat_replicate(
     squared gaps.  Every interval must resolve the schedule before
     anything is drawn.
     """
-    for lo, hi in intervals:
-        _require_resolvable(min(schedule), hi - lo, n)
+    for interval in intervals:
+        require_resolvable(min(schedule), interval, n)
     paths = heat_paths(seed, n, intervals)
     return np.concatenate(
         [_local_time_block(x, iv, z, schedule) for x, iv in zip(paths, intervals)]
@@ -375,8 +377,7 @@ def local_time_replicate(
     """
     if process_tag == "heat":
         return heat_replicate(seed, n, (interval,), z, schedule)
-    lo, hi = interval
-    _require_resolvable(min(schedule), hi - lo, n)
+    require_resolvable(min(schedule), interval, n)
     return _local_time_block(path_values(process_tag, seed, n, interval), interval, z, schedule)
 
 
@@ -391,7 +392,7 @@ def bridge_motion_replicate(
     at extra_eps, then w(1).
     """
     for eps in (min(schedule), extra_eps):
-        _require_resolvable(eps, 1.0, n)
+        require_resolvable(eps, (0.0, 1.0), n)
     w = motion_values(seed, n)
     bridge = _local_time_block(_pin_to_bridge(w), (0.0, 1.0), z, schedule)
     v_motion = smoothed_values(w, _trapezoid_weights(0.0, 1.0, n), z, (extra_eps,))

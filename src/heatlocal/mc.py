@@ -9,6 +9,7 @@ aggregate is bit-identical for any ``jobs`` value.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ReplicateFailure
-from .local_time import bandwidth_floor, process_interval
 from .sampling import _UINT64_MAX, SeedSpec
 
 PROCESSES = ("heat", "bridge", "motion")
@@ -48,6 +48,8 @@ class RunConfig:
         )
         if self.process not in PROCESSES:
             raise ConfigError(f"unknown process {self.process!r}")
+        if not all(map(math.isfinite, (*self.interval, self.z))):
+            raise ConfigError(f"interval {self.interval} and z = {self.z} must be finite")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             raise ConfigError(f"empty interval {self.interval}")
         if self.grid_points < 2:
@@ -61,25 +63,10 @@ class RunConfig:
         sched = self.epsilon_schedule
         if len(sched) == 0:
             raise ConfigError("epsilon schedule must be nonempty")
-        if any(e <= 0.0 for e in sched):
-            raise ConfigError("epsilon schedule entries must be positive")
+        if not all(0.0 < e < math.inf for e in sched):  # false for nan
+            raise ConfigError("epsilon schedule entries must be positive and finite")
         if any(a <= b for a, b in zip(sched, sched[1:])):
             raise ConfigError("epsilon schedule must be strictly decreasing")
-        if min(sched) < self.bandwidth_floor:
-            raise ConfigError(
-                f"epsilon schedule minimum {min(sched)} below the bandwidth "
-                f"floor {self.bandwidth_floor:.3e} for {self.grid_points} grid points"
-            )
-
-    @property
-    def span(self) -> float:
-        """Length of the path parameter domain for the selected process."""
-        lo, hi = process_interval(self.process, self.interval)
-        return hi - lo
-
-    @property
-    def bandwidth_floor(self) -> float:
-        return bandwidth_floor(self.span, self.grid_points)
 
 
 def config_dict(config: RunConfig) -> dict:

@@ -51,6 +51,7 @@ from .local_time import (
     expected_smoothed_local_time,
     heat_replicate,
     levy_density_normalization,
+    require_resolvable,
     second_moment_via_density,
 )
 from .mc import MCResult, RunConfig, run_replicates
@@ -97,15 +98,10 @@ def _check_suite_config(config: RunConfig) -> None:
     # motion reference takes no level at all
     if config.z != 0.0:
         raise ConfigError(f"the local-time claims check level 0 only, got z = {config.z}")
-    # the heat claims run on --interval whatever --process is
-    for lo, hi in (config.interval, LONG_INTERVAL):
-        floor = bandwidth_floor(hi - lo, config.grid_points)
-        if min(config.epsilon_schedule) < floor:
-            raise ConfigError(
-                f"epsilon schedule minimum {min(config.epsilon_schedule)} below the "
-                f"bandwidth floor {floor:.3e} of the heat run on ({lo:g}, {hi:g}) at "
-                f"{config.grid_points} grid points"
-            )
+    # the heat claims run on --interval and on LONG_INTERVAL; the bridge's
+    # (0, 1) is shorter than LONG_INTERVAL, so its floor is lower
+    for interval in (config.interval, LONG_INTERVAL):
+        require_resolvable(min(config.epsilon_schedule), interval, config.grid_points)
 
 
 def derive_master(master_seed: int, tag: str) -> int:

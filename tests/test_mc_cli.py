@@ -1,12 +1,16 @@
 """Monte Carlo engine determinism, codecs, config validation, CLI."""
 
+import argparse
 import csv
+import hashlib
 import io
 import json
 import os
 import pickle
 import platform
+import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,13 @@ from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
-from heatlocal.local_time import bridge_motion_replicate, heat_replicate, local_time_replicate
+from heatlocal.local_time import (
+    bandwidth_floor,
+    bridge_motion_replicate,
+    heat_replicate,
+    local_time_replicate,
+    require_resolvable,
+)
 from heatlocal.mc import CHUNK, MCResult, RunConfig, config_dict, run_replicates
 from heatlocal.reports import (
     AggregateTable,
@@ -56,6 +66,10 @@ def failing_task(seed):
 
 def dying_task(seed, **kwargs):
     os._exit(3)
+
+
+def no_sampling(*args, **kwargs):
+    raise AssertionError("must not sample")
 
 
 def test_constant_task_has_unit_mean_zero_stderr():
@@ -164,8 +178,13 @@ def test_bridge_mean_task_matches_quadrature_small_scale():
         dict(epsilon_schedule=(0.01, 0.05)),
         dict(epsilon_schedule=(-0.1,)),
         dict(epsilon_schedule=(0.1, 0.0)),
-        dict(epsilon_schedule=(1e-7,)),
+        dict(epsilon_schedule=(float("nan"),)),
         dict(process="poisson"),
+        dict(epsilon_schedule=(float("inf"), 0.5)),
+        dict(interval=(0.0, float("inf"))),
+        dict(interval=(float("nan"), 1.0)),
+        dict(z=float("nan")),
+        dict(z=float("inf")),
     ],
 )
 def test_config_rejections(overrides):
@@ -174,10 +193,11 @@ def test_config_rejections(overrides):
 
 
 def test_bandwidth_floor_scales_with_interval():
-    ok = RunConfig(interval=(0.0, 2.0), grid_points=8192)
-    assert ok.bandwidth_floor == pytest.approx(8.0 / 8191)
-    with pytest.raises(ConfigError):
-        RunConfig(interval=(0.0, 60.0))
+    assert bandwidth_floor(2.0, 8192) == pytest.approx(8.0 / 8191)
+    require_resolvable(0.005, (0.0, 2.0), 8192)
+    for bandwidth, interval in ((0.005, (0.0, 60.0)), (1e-7, (0.0, 2.0))):
+        with pytest.raises(ConfigError, match="floor"):
+            require_resolvable(bandwidth, interval, 8192)
 
 
 def test_config_dict_excludes_execution_only_fields():
@@ -368,14 +388,24 @@ def test_cli_config_error_exit_code(capsys):
 
 
 def test_cli_bad_flag_exits_two():
-    for argv in (["verify", "--format", "xml"], ["explode"], ["verify", "--process", "poisson"]):
+    bad = (["verify", "--format", "xml"], ["explode"], ["localtime", "--process", "poisson"])
+    # a flag the command does not read is refused, not ignored
+    removed = (
+        ["simulate", "--eps", "0.5"],
+        ["verify", "--z", "0"],
+        ["verify", "--process", "bridge"],
+        ["spectral", "--grid", "4096"],
+        ["gram", "--grid", "4096"],
+        ["moments", "--seed", "1"],
+    )
+    for argv in bad + removed:
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
 
 
 def test_cli_moments_subset_csv(capsys):
-    rc = main(["moments", "--reps", "50", "--grid", "4096"])
+    rc = main(["moments", "--reps", "50"])
     captured = capsys.readouterr()
     assert rc == 0
     rows = list(csv.reader(io.StringIO(captured.out)))
@@ -387,13 +417,11 @@ def test_cli_moments_subset_csv(capsys):
 
 def test_cli_writes_json_file(tmp_path):
     out = tmp_path / "gram.json"
-    rc = main(
-        ["gram", "--reps", "50", "--grid", "4096", "--format", "json", "--out", str(out)]
-    )
+    rc = main(["gram", "--format", "json", "--out", str(out)])
     assert rc == 0
     reports, cfg, version = reports_from_json(out.read_text())
     assert len(reports) == 5
-    assert cfg["command"] == "gram"
+    assert cfg == {"command": "gram", "master_seed": 0}
     assert version
 
 
@@ -420,7 +448,7 @@ def test_cli_out_into_missing_directory_exits_two_before_any_work(
 ):
     calls = _forbid_gram_block(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
-    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+    rc = main(["gram", "--out", str(out)])
     assert rc == 2
     assert calls == []
     _assert_one_line_output_error(capsys)
@@ -430,7 +458,7 @@ def test_cli_out_into_missing_directory_exits_two_before_any_work(
 def test_cli_unwritable_out_exits_two(tmp_path, monkeypatch, capsys):
     # the directory exists, but the path itself is a directory
     calls = _forbid_gram_block(monkeypatch)
-    rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(tmp_path)])
+    rc = main(["gram", "--out", str(tmp_path)])
     assert rc == 2
     assert calls == []
     _assert_one_line_output_error(capsys)
@@ -446,7 +474,7 @@ def test_cli_out_in_unwritable_directory_exits_two_before_any_work(
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("old\n")
     for out in (new, old):
-        rc = main(["gram", "--reps", "50", "--grid", "4096", "--out", str(out)])
+        rc = main(["gram", "--out", str(out)])
         assert rc == 2
         assert calls == []
         _assert_one_line_output_error(capsys)
@@ -454,7 +482,7 @@ def test_cli_out_in_unwritable_directory_exits_two_before_any_work(
     assert old.read_text() == "old\n"
 
 
-_SMALL_SIMULATE = ["simulate", "--process", "bridge", "--reps", "4", "--grid", "64", "--eps", "0.5"]
+_SMALL_SIMULATE = ["simulate", "--process", "bridge", "--reps", "4", "--grid", "64"]
 
 
 def test_cli_failed_write_keeps_the_old_file_and_leaves_no_temp_file(
@@ -500,8 +528,6 @@ def test_cli_simulate_table(capsys):
             "64",
             "--seed",
             "2",
-            "--eps",
-            "0.08",
         ]
     )
     assert rc == 0
@@ -552,7 +578,7 @@ def test_cli_localtime_table(tmp_path, capsys):
 
 
 def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, capsys):
-    rc = main(["spectral", "--reps", "50", "--grid", "4096"])
+    rc = main(["spectral", "--reps", "50"])
     captured = capsys.readouterr()
     assert rc == 1
     rows = list(csv.reader(io.StringIO(captured.out)))
@@ -563,12 +589,12 @@ def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, capsys):
 
 
 def test_cli_verify_nonzero_level_exits_two_before_any_work(forbid_in_verify, capsys):
+    # verify checks level 0 only, so it takes no --z
     forbid_in_verify("run_replicates", "spectral_reports", "localtime_reports")
-    rc = main(["verify", "--z", "0.5", "--reps", "50", "--grid", "4096"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("configuration error:")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--z", "0.5", "--reps", "50", "--grid", "4096"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.strip().endswith("unrecognized arguments: --z 0.5")
 
 
 _LOCALTIME_ARGV = ["localtime", "--process", "bridge", "--reps", "2048", "--grid", "256",
@@ -596,3 +622,94 @@ def test_cli_parent_memory_error_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_replicates", out_of_memory)
     assert main(_LOCALTIME_ARGV) == 2
     _assert_one_line_error(capsys, "MemoryError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["verify", "--eps", "nan", "--reps", "2", "--grid", "1024"],
+        ["localtime", "--process", "bridge", "--eps", "nan"],
+        ["localtime", "--eps", "inf,0.5"],
+        ["simulate", "--interval", "0", "inf"],
+    ),
+)
+def test_cli_non_finite_input_is_a_configuration_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_replicates", no_sampling)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:")
+
+
+def test_cli_simulate_smooths_nothing_so_has_no_bandwidth_floor(capsys):
+    # the default schedule's 0.005 is below the floor 0.127 of 64 points on
+    # (0, 2), which simulate never reads
+    assert main(["simulate", "--process", "bridge", "--grid", "64", "--reps", "4"]) == 0
+    assert capsys.readouterr().out.startswith("u,mean,")
+
+
+def test_cli_localtime_below_the_floor_exits_two_before_sampling(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_replicates", no_sampling)
+    assert main(["localtime", "--grid", "64", "--reps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:")
+    assert "floor" in err
+
+
+# a value of every RunConfig field other than the base config's
+_OTHER_FIELDS = dict(
+    interval=(0.0, 3.0),
+    grid_points=2048,
+    epsilon_schedule=(0.5, 0.25),
+    replicates=8,
+    master_seed=4,
+    jobs=2,
+    z=0.25,
+    process="motion",
+)
+
+
+def _command_output_digest(command: str, config: RunConfig) -> str:
+    # a digest, since a failed comparison of two long texts is slow to explain
+    if command == "simulate":
+        text = table_to_csv(cli._simulate_table(config))
+    else:
+        reports = cli._REPORT_COMMANDS[command](config)
+        for r in reports:
+            r.runtime_ms = 0.0
+        text = reports_to_csv(reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ("simulate", "verify", "spectral", "gram", "moments"))
+def test_fields_without_a_flag_leave_the_command_output_unchanged(command):
+    # localtime takes every flag; verify refuses a nonzero z rather than
+    # ignoring it, so its z stays at 0
+    taken = cli.config_fields(command)
+    other = {k: v for k, v in _OTHER_FIELDS.items() if k not in taken}
+    if command == "verify":
+        del other["z"]
+    assert other
+    base = dict(replicates=4, grid_points=4096, master_seed=3)
+    changed = {**base, **other}
+    first = _command_output_digest(command, RunConfig(**base))
+    assert _command_output_digest(command, RunConfig(**changed)) == first
+
+
+def test_readme_flag_table_matches_the_parser():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, flags = line.split("|")[1:3]
+            documented[command.strip(" `")] = set(re.findall(r"--[a-z]+", flags))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--out", "--format"}
+    taken = {
+        command: {s for a in p._actions for s in a.option_strings} - common
+        for command, p in sub.choices.items()
+    }
+    assert documented == taken

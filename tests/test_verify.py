@@ -278,7 +278,7 @@ def test_unresolvable_heat_interval_rejected_before_any_sampling(forbid_in_verif
         verify_all(cfg)
     with pytest.raises(ConfigError, match="floor"):
         localtime_reports(cfg)
-    argv = ["verify", "--process", "bridge", "--interval", "0", "20", "--reps", "10"]
+    argv = ["verify", "--interval", "0", "20", "--reps", "10"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
 
