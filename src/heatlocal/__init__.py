@@ -4,8 +4,8 @@ Submodules:
 
 * ``errors``: the package's exception types, all under ``HeatLocalError``.
 * ``grids``: strictly increasing spatial evaluation grids.
-* ``sampling``: seeded Gaussian sampling primitives (Cholesky, circulant)
-  and the covariance-route Brownian bridge kept as a reference sampler.
+* ``sampling``: seeded Gaussian sampling primitives (streams, jittered
+  Cholesky, circulant embedding).
 * ``heat_model``: the stationary field covariance and two independent
   Monte Carlo tasks for its increments (Cholesky and driving sheet).
 * ``spectral``: the integrator quadratic form and its inequalities.

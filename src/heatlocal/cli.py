@@ -72,7 +72,7 @@ COMMAND_FLAGS = {
 # the add_argument options of each run flag; its dest is the RunConfig field it sets
 _FLAG_OPTIONS = {
     "interval": dict(nargs=2, type=float, metavar=("A", "B"),
-                     help="heat-process parameter interval (bridge and motion pin to (0, 1))"),
+                     help="heat-process parameter interval (bridge and motion run on (0, 1))"),
     "grid": dict(dest="grid_points", type=int, help="uniform grid points per path"),
     "eps": dict(dest="epsilon_schedule", type=_eps_schedule, metavar="E1,E2,...",
                 help="decreasing smoothing bandwidths"),
@@ -93,13 +93,27 @@ _HELP = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses a flag it does not take itself.
+
+    Left to the top-level parser, the refusal would print the top-level
+    usage, which does not list the subcommand's flags.
+    """
+
+    def parse_known_args(self, args, namespace):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatlocal",
         description="Simulation and claim verification for the fixed-time "
         "heat-equation field and kernel-smoothed local times.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, help_text in _HELP.items():
         # an omitted run flag sets no attribute, so RunConfig's default holds
         cmd = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
@@ -112,6 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     run_flags = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
+    process = run_flags.get("process")
+    if process in ("bridge", "motion"):
+        # the interval is fixed for these processes, so the config records it
+        if "interval" in run_flags:
+            raise ConfigError(f"--interval is for the heat process; {process} runs on (0, 1)")
+        run_flags["interval"] = process_interval(process)
     return RunConfig(**run_flags)
 
 

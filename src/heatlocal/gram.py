@@ -221,11 +221,6 @@ def dirichlet_simplex_integral(k: int, samples: int = 10_000_000) -> tuple[float
     return mean, float(np.sqrt(var / samples))
 
 
-def simplex_integral_closed_form(k: int) -> float:
-    """pi^((k+1)/2) / Gamma((k+1)/2); the value the quadratures must hit."""
-    return float(np.pi ** ((k + 1) / 2.0) / special.gamma((k + 1) / 2.0))
-
-
 def bridge_moment_from_simplex(k: int, simplex_value: float) -> float:
     """Scale a simplex integral into the k-th bridge local-time moment.
 

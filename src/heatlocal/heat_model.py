@@ -25,7 +25,7 @@ from scipy import special
 
 from .errors import CutoffTooCoarse, NonPositiveTime
 from .grids import SpatialGrid
-from .sampling import CovarianceMatrix, SeedSpec, circulant_embedding_weights, jittered_cholesky
+from .sampling import SeedSpec, circulant_embedding_weights, jittered_cholesky
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -201,8 +201,8 @@ class SheetOperator:
 def _increment_cholesky(points: tuple, interval: tuple) -> np.ndarray:
     pts = np.array(points)
     base = interval[0]
-    cov = CovarianceMatrix(increment_covariance(pts[:, None], pts[None, :], base))
-    L, _ = jittered_cholesky(cov.entries)
+    c = increment_covariance(pts[:, None], pts[None, :], base)
+    L, _ = jittered_cholesky(0.5 * (c + c.T))
     return L
 
 

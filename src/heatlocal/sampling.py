@@ -1,4 +1,5 @@
-"""Reproducible Gaussian sampling primitives.
+"""Reproducible Gaussian sampling primitives: seeded streams, a jittered
+Cholesky factor and circulant embedding.
 
 Every random draw in the package flows through a :class:`SeedSpec`: a
 (master seed, replicate index) pair naming one stream of the counter-based
@@ -104,26 +105,6 @@ class SeedSpec:
         return stream.generator.standard_normal(size)
 
 
-@dataclass
-class CovarianceMatrix:
-    """Symmetric PSD matrix, symmetrised on construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be square")
-        scale = np.max(np.abs(m)) if m.size else 0.0
-        if scale > 0 and np.max(np.abs(m - m.T)) > 1e-10 * scale:
-            raise ValueError("covariance must be symmetric")
-        self.entries = 0.5 * (m + m.T)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -151,43 +132,6 @@ def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
                 raise NonPSD(
                     f"Cholesky failed at jitter {jitter:.3e} (cap {cap:.3e})"
                 ) from None
-
-
-def sample_gaussian_vector(cov: CovarianceMatrix, seed: SeedSpec) -> np.ndarray:
-    """Draw one centred Gaussian vector with the given covariance.
-
-    The draw is ``L z`` for the (jittered) Cholesky factor ``L`` and a
-    standard normal ``z`` from the seed's stream.
-    """
-    L, _ = jittered_cholesky(cov.entries)
-    z = seed.normals(cov.dim)
-    return L @ z
-
-
-def brownian_bridge_covariance(points) -> CovarianceMatrix:
-    """Bridge covariance min(s, t) (1 - max(s, t)) on times in [0, 1]."""
-    t = np.asarray(points, dtype=float)
-    if t[0] < 0.0 or t[-1] > 1.0:
-        raise ValueError("bridge grid must lie in [0, 1]")
-    c = np.minimum.outer(t, t) * (1.0 - np.maximum.outer(t, t))
-    return CovarianceMatrix(c)
-
-
-def sample_brownian_bridge(points, seed: SeedSpec) -> np.ndarray:
-    """Brownian bridge on [0, 1] via its covariance matrix.
-
-    The reference route the fast ``local_time.bridge_values`` is tested
-    against.  ``points`` must lie in [0, 1]; values at t = 0 and t = 1 are
-    exactly zero, and interior points are drawn jointly from the s(1-t)
-    covariance through :func:`sample_gaussian_vector`.
-    """
-    t = np.asarray(points, dtype=float)
-    values = np.zeros(t.size)
-    interior = (t != 0.0) & (t != 1.0)
-    if np.any(interior):
-        cov = brownian_bridge_covariance(t[interior])
-        values[interior] = sample_gaussian_vector(cov, seed)
-    return values
 
 
 def circulant_embedding_weights(cov_sequence: np.ndarray) -> np.ndarray:
@@ -242,11 +186,6 @@ def _weighted_synthesis(weights: np.ndarray, y: np.ndarray, n: int) -> np.ndarra
     return irfft(spectrum, n=weights.size, norm="forward", overwrite_x=True)[:n]
 
 
-def _stationary_synthesis(weights: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """First n values of the circulant field driven by m real normals z."""
-    return _weighted_synthesis(weights, _half_spectrum(z), n)
-
-
 def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.ndarray:
     """First n values of a stationary Gaussian sequence, exact in law.
 
@@ -257,4 +196,4 @@ def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.
     m = weights.size
     if n > m // 2 + 1:
         raise ValueError("requested block exceeds the exact embedding range")
-    return _stationary_synthesis(weights, seed.normals(m), n)
+    return _weighted_synthesis(weights, _half_spectrum(seed.normals(m)), n)

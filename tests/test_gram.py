@@ -23,9 +23,9 @@ from heatlocal.gram import (
     orthonormalize,
     probe_basis_extension_ratio,
     projection_identity_values,
-    simplex_integral_closed_form,
 )
 from heatlocal.local_time import bridge_moment_exact
+from reference import simplex_integral_closed_form
 
 
 def test_gram_det_of_orthogonal_rows_is_product_of_norms():

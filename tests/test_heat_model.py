@@ -16,8 +16,9 @@ from heatlocal.heat_model import (
     sheet_variance_bias,
 )
 from heatlocal.local_time import heat_values
-from heatlocal.sampling import CovarianceMatrix, SeedSpec, sample_gaussian_vector
+from heatlocal.sampling import SeedSpec
 from heatlocal.verify import _AGREE_POINTS
+from reference import CovarianceMatrix, sample_gaussian_vector
 
 SQRT_PI = np.sqrt(np.pi)
 

@@ -387,7 +387,7 @@ def test_cli_config_error_exit_code(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_bad_flag_exits_two():
+def test_cli_bad_flag_exits_two(capsys):
     bad = (["verify", "--format", "xml"], ["explode"], ["localtime", "--process", "poisson"])
     # a flag the command does not read is refused, not ignored
     removed = (
@@ -402,6 +402,10 @@ def test_cli_bad_flag_exits_two():
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
+        # the usage printed is the one that lists the flags the command takes
+        usage = capsys.readouterr().err.splitlines()[0]
+        command = argv[0] if argv[0] in cli.COMMAND_FLAGS else "[-h] {"
+        assert usage.startswith(f"usage: heatlocal {command}")
 
 
 def test_cli_moments_subset_csv(capsys):
@@ -639,6 +643,32 @@ def test_cli_non_finite_input_is_a_configuration_error(argv, monkeypatch, capsys
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("configuration error:")
+
+
+def _small_run(command: str, process: str) -> list[str]:
+    # a bandwidth above the floor of 64 points, so only the tested flag can refuse
+    argv = [command, "--process", process, "--grid", "64", "--reps", "4"]
+    return argv + (["--eps", "0.5"] if command == "localtime" else [])
+
+
+@pytest.mark.parametrize("command", ("simulate", "localtime"))
+@pytest.mark.parametrize("process", ("bridge", "motion"))
+def test_cli_interval_of_bridge_or_motion_is_a_configuration_error(
+    command, process, monkeypatch, capsys
+):
+    # both run on (0, 1) whatever --interval says, so the flag is refused
+    monkeypatch.setattr(cli, "run_replicates", no_sampling)
+    assert main(_small_run(command, process) + ["--interval", "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("command", ("simulate", "localtime"))
+@pytest.mark.parametrize("process", ("bridge", "motion"))
+def test_cli_json_records_the_interval_bridge_and_motion_run_on(command, process, capsys):
+    assert main(_small_run(command, process) + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["interval"] == [0.0, 1.0]
 
 
 def test_cli_simulate_smooths_nothing_so_has_no_bandwidth_floor(capsys):

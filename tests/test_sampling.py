@@ -9,15 +9,18 @@ import pytest
 from heatlocal.local_time import bridge_values, motion_values
 from heatlocal.sampling import (
     JITTER_CAP,
-    CovarianceMatrix,
     SeedSpec,
-    brownian_bridge_covariance,
+    _half_spectrum,
+    _weighted_synthesis,
     circulant_embedding_weights,
     jittered_cholesky,
+    sample_stationary_values,
+)
+from reference import (
+    CovarianceMatrix,
+    brownian_bridge_covariance,
     sample_brownian_bridge,
     sample_gaussian_vector,
-    _stationary_synthesis,
-    sample_stationary_values,
 )
 
 
@@ -156,14 +159,22 @@ def test_gaussian_vector_determinism():
     assert np.array_equal(x, y)
 
 
-def test_motion_starts_at_zero_and_matches_covariance():
-    assert motion_values(SeedSpec(11), 9)[0] == 0.0
-    # empirical covariance of w on the grid against min(s, t)
+@pytest.mark.parametrize(
+    "values, covariance",
+    (
+        (motion_values, lambda t: np.minimum.outer(t, t)),
+        (bridge_values, lambda t: brownian_bridge_covariance(t).entries),
+    ),
+    ids=("motion", "bridge"),
+)
+def test_motion_starts_at_zero_and_matches_covariance(values, covariance):
+    assert values(SeedSpec(11), 9)[0] == 0.0
+    # empirical covariance of the path on the grid against the exact one
     n = 4000
     t = np.linspace(0.0, 1.0, 9)
-    w = np.array([motion_values(SeedSpec(11, i), 9) for i in range(n)])
+    w = np.array([values(SeedSpec(11, i), 9) for i in range(n)])
     emp = w.T @ w / n
-    assert np.max(np.abs(emp - np.minimum.outer(t, t))) < 6.0 * np.sqrt(2.0 / n)
+    assert np.max(np.abs(emp - covariance(t))) < 6.0 * np.sqrt(2.0 / n)
 
 
 def test_bridge_endpoints_exactly_zero():
@@ -223,7 +234,7 @@ def test_stationary_synthesis_is_an_exact_factor_of_the_toeplitz_block():
     w = circulant_embedding_weights(cov_seq)
     m, n = w.size, 9
     assert m == 16
-    M = np.column_stack([_stationary_synthesis(w, e, n) for e in np.eye(m)])
+    M = np.column_stack([_weighted_synthesis(w, _half_spectrum(e), n) for e in np.eye(m)])
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     assert np.max(np.abs(M @ M.T - cov_seq[lags])) < 1e-12
 
@@ -233,4 +244,4 @@ def test_stationary_sampler_draws_the_head_of_the_stream():
     for i in range(3):
         z = SeedSpec(9, i).rng().standard_normal(w.size)
         x = sample_stationary_values(w, SeedSpec(9, i), 9)
-        assert np.array_equal(x, _stationary_synthesis(w, z, 9))
+        assert np.array_equal(x, _weighted_synthesis(w, _half_spectrum(z), 9))
