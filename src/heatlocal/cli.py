@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import shutil
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, HeatLocalError
 from .local_time import local_time_replicate, path_values, process_interval, require_resolvable
-from .mc import PROCESSES, RunConfig, config_dict, run_replicates
+from .mc import PROCESSES, RunConfig, run_replicates
 from .reports import (
     AggregateTable,
     reports_to_csv,
@@ -242,8 +243,11 @@ def main(argv=None) -> int:
         if args.format == "csv":
             text = to_csv(body)
         else:
-            taken = config_fields(args.command)
-            recorded = {k: v for k, v in config_dict(config).items() if k in taken}
+            # the fields the command's flags set, in field order; never jobs,
+            # so runs that differ only in worker count emit the same bytes
+            taken = config_fields(args.command) - {"jobs"}
+            fields = [f.name for f in dataclasses.fields(config) if f.name in taken]
+            recorded = {name: getattr(config, name) for name in fields}
             text = to_json(body, {"command": args.command, **recorded}, __version__)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

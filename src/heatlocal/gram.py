@@ -12,7 +12,7 @@ The Dirichlet-type simplex integral
 
 ties the indicator Gram determinants to the moments of the bridge local
 time; it is evaluated by weighted quadrature for k <= 2 and by importance
-sampling for k = 3, 4.
+sampling for k = 3.
 """
 
 from __future__ import annotations
@@ -180,25 +180,20 @@ def dirichlet_simplex_integral(k: int, samples: int = 10_000_000) -> tuple[float
     """Simplex integral with inverse-root gap weights; returns (value, error).
 
     k <= 2 uses iterated adaptive quadrature with algebraic endpoint
-    weights (error is the quadrature estimate); k = 3, 4 use importance
-    sampling from a Dirichlet(3/4, ..., 3/4) proposal, which makes the
+    weights (error is the quadrature estimate); k = 3 uses importance
+    sampling from a Dirichlet(3/4, 3/4, 3/4, 3/4) proposal, which makes the
     weight square-integrable, with the reported error one standard error
-    of the mean.  Orders outside 1..4 raise UnsupportedOrder.
+    of the mean.  Orders outside 1..3 raise UnsupportedOrder.
     """
-    if k not in (1, 2, 3, 4):
-        raise UnsupportedOrder(f"order {k} outside 1..4")
+    if k not in (1, 2, 3):
+        raise UnsupportedOrder(f"order {k} outside 1..3")
     if k == 1:
         val, err = integrate.quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(-0.5, -0.5))
         return float(val), float(err)
     if k == 2:
-        inner_cache: dict[float, float] = {}
-
-        def inner(v2: float) -> float:
-            if v2 not in inner_cache:
-                inner_cache[v2] = _quad_beta_half(0.0, v2)
-            return inner_cache[v2]
-
-        val, err = integrate.quad(inner, 0.0, 1.0, weight="alg", wvar=(0.0, -0.5), limit=200)
+        val, err = integrate.quad(
+            lambda v2: _quad_beta_half(0.0, v2), 0.0, 1.0, weight="alg", wvar=(0.0, -0.5), limit=200
+        )
         return float(val), float(err)
 
     # importance sampling on the increment simplex

@@ -1,18 +1,21 @@
 """Parallel Monte Carlo engine with a bit-reproducibility contract.
 
-Replicates are pure functions of (master_seed, replicate_index).  They are
-processed in fixed chunks of :data:`CHUNK` indices; per-chunk power sums
-are computed with numpy's pairwise summation and then folded in index
-order.  Because the chunk boundaries never depend on the worker count, the
-aggregate is bit-identical for any ``jobs`` value.
+Replicates are pure functions of (master_seed, replicate_index), processed
+in fixed chunks of :data:`CHUNK` indices.  One ordered map yields the
+per-chunk power sums (numpy pairwise sums) in index order, and they are
+folded in that order; as the chunk boundaries never depend on the worker
+count, the aggregate is bit-identical for any ``jobs`` value.  Pool
+workers keep the BLAS thread count their parent fixed at import, and no
+task's reduction reaches threaded BLAS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,24 +72,6 @@ class RunConfig:
             raise ConfigError("epsilon schedule must be strictly decreasing")
 
 
-def config_dict(config: RunConfig) -> dict:
-    """Result-determining fields of the config, in stable key order.
-
-    Excludes jobs: it does not affect the computed numbers, and leaving it
-    out keeps emissions from runs that differ only in worker count
-    byte-identical.
-    """
-    return {
-        "interval": [config.interval[0], config.interval[1]],
-        "grid_points": config.grid_points,
-        "epsilon_schedule": list(config.epsilon_schedule),
-        "replicates": config.replicates,
-        "master_seed": int(config.master_seed),
-        "z": config.z,
-        "process": config.process,
-    }
-
-
 @dataclass(frozen=True)
 class MCResult:
     """Aggregate of one replicate family.
@@ -106,10 +91,10 @@ class MCResult:
     raw: np.ndarray | None = field(default=None, repr=False)
 
 
-def _chunk_power_sums(task, master_seed: int, start: int, stop: int, keep_raw: bool):
-    """Power sums S1..S4 of task outputs for replicate indices [start, stop)."""
+def _chunk_power_sums(task, master_seed: int, n: int, keep_raw: bool, start: int):
+    """Power sums S1..S4 of task outputs for the chunk of indices from ``start``."""
     rows = []
-    for i in range(start, stop):
+    for i in range(start, min(start + CHUNK, n)):
         try:
             rows.append(np.asarray(task(SeedSpec(master_seed, i)), dtype=float))
         except ReplicateFailure:
@@ -131,76 +116,44 @@ def _chunk_power_sums(task, master_seed: int, start: int, stop: int, keep_raw: b
     return start, sums, (block if keep_raw else None)
 
 
-def _pin_worker_threads():
-    # keep worker-side linear algebra single-threaded: reproducible
-    # reductions and no oversubscription of the pool
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = "1"
-
-
 def run_replicates(
     task,
     config: RunConfig | None = None,
     *,
     replicates: int | None = None,
     master_seed: int | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     return_raw: bool = False,
 ) -> MCResult:
     """Aggregate ``task`` over independent replicates, reproducibly.
 
     ``task(seed: SeedSpec) -> 1-d array`` must be pure and, when jobs > 1,
-    picklable (a module-level function or a partial of one).  The result is
-    bit-identical for a fixed master seed whatever ``jobs`` is, because the
-    chunked fold never depends on the schedule.  Task exceptions surface as
-    :class:`ReplicateFailure` carrying the replicate index.
+    picklable (a module-level function or a partial of one).  A ``config``
+    supplies replicates, master seed and jobs; otherwise the keywords do.
+    Chunks come from builtin ``map``, or from ``ProcessPoolExecutor.map``
+    in a pool; both yield in submission order.  Task exceptions surface as
+    :class:`ReplicateFailure` carrying the replicate index, and cancel the
+    chunks still queued.
     """
-    n = replicates if replicates is not None else (config.replicates if config else None)
-    seed = master_seed if master_seed is not None else (
-        config.master_seed if config else None
-    )
-    workers = jobs if jobs is not None else (config.jobs if config else 1)
-    if n is None or seed is None:
+    if config is not None:
+        replicates, master_seed, jobs = config.replicates, config.master_seed, config.jobs
+    if replicates is None or master_seed is None:
         raise ConfigError("run_replicates needs replicates and master_seed")
-    if n < 1:
+    if replicates < 1:
         raise ConfigError("replicates must be at least 1")
 
-    spans = [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
-    total = None
-    raw = None
-
-    def fold(start, sums, block):
-        # chunks arrive in index order; a raw block is copied into place
-        # and dropped, so the raw rows are never held twice
-        nonlocal total, raw
-        if total is None:
-            total = sums.copy()
-        else:
-            total += sums
-        if return_raw:
-            if raw is None:
-                raw = np.empty((n, block.shape[1]))
-            raw[start : start + block.shape[0]] = block
-
-    if workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(spans)), initializer=_pin_worker_threads
-        ) as pool:
-            futures = [
-                pool.submit(_chunk_power_sums, task, seed, s, e, return_raw)
-                for s, e in spans
-            ]
-            for i, fut in enumerate(futures):
-                fold(*fut.result())
-                futures[i] = None
-    else:
-        for s, e in spans:
-            fold(*_chunk_power_sums(task, seed, s, e, return_raw))
+    n = replicates
+    starts = range(0, n, CHUNK)
+    chunk = partial(_chunk_power_sums, task, master_seed, n, return_raw)
+    pool = ProcessPoolExecutor(min(jobs, len(starts))) if jobs > 1 and len(starts) > 1 else None
+    total = raw = None
+    with pool or contextlib.nullcontext():
+        for start, sums, block in (pool.map if pool else map)(chunk, starts):
+            total = sums if total is None else total + sums
+            if return_raw:  # copied into place, so no raw row is held twice
+                if raw is None:
+                    raw = np.empty((n, block.shape[1]))
+                raw[start : start + block.shape[0]] = block
 
     s1, s2, s3, s4 = total
     mean = s1 / n

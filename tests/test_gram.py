@@ -159,8 +159,9 @@ def test_bridge_moment_scaling_chain():
 
 
 def test_simplex_order_guard():
-    with pytest.raises(UnsupportedOrder):
-        dirichlet_simplex_integral(5)
+    for k in (4, 5):
+        with pytest.raises(UnsupportedOrder):
+            dirichlet_simplex_integral(k)
 
 
 def test_partition_additivity_report():

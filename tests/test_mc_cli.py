@@ -9,6 +9,8 @@ import os
 import pickle
 import platform
 import re
+import time
+from concurrent.futures.process import _RemoteTraceback
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from heatlocal.local_time import (
     local_time_replicate,
     require_resolvable,
 )
-from heatlocal.mc import CHUNK, MCResult, RunConfig, config_dict, run_replicates
+from heatlocal.mc import CHUNK, MCResult, RunConfig, run_replicates
 from heatlocal.reports import (
     AggregateTable,
     SuiteReport,
@@ -58,9 +60,20 @@ def index_task(seed):
     return np.array([float(seed.replicate_index), 1.0])
 
 
-def failing_task(seed):
-    if seed.replicate_index == 7:
+def failing_task(seed, at=7):
+    if seed.replicate_index == at:
         raise ValueError("boom")
+    return np.array([0.0])
+
+
+def chunk_marking_task(seed, marks):
+    # each chunk leaves a marker as it starts, then takes a while
+    i = seed.replicate_index
+    if i % CHUNK == 0:
+        Path(marks, f"chunk-{i // CHUNK}").touch()
+        if i == 0:
+            raise ValueError("boom")
+        time.sleep(0.2)
     return np.array([0.0])
 
 
@@ -141,11 +154,25 @@ def test_replicate_failure_carries_index():
 
 
 def test_replicate_failure_crosses_process_boundary():
+    # three chunks at two jobs run in a pool; the third chunk fails
+    at = 2 * CHUNK + 7
     with pytest.raises(ReplicateFailure) as exc_info:
-        run_replicates(failing_task, replicates=20, master_seed=0, jobs=2)
-    assert exc_info.value.replicate_index == 7
+        run_replicates(partial(failing_task, at=at), replicates=3 * CHUNK, master_seed=0, jobs=2)
+    assert exc_info.value.replicate_index == at
+    assert isinstance(exc_info.value.__cause__, _RemoteTraceback)
     rt = pickle.loads(pickle.dumps(exc_info.value))
-    assert rt.replicate_index == 7
+    assert rt.replicate_index == at
+
+
+def test_pooled_failure_cancels_the_queued_chunks(tmp_path):
+    chunks = 16
+    task = partial(chunk_marking_task, marks=str(tmp_path))
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(task, replicates=chunks * CHUNK, master_seed=0, jobs=2)
+    assert exc_info.value.replicate_index == 0
+    ran = {p.name for p in tmp_path.iterdir()}
+    assert "chunk-0" in ran
+    assert len(ran) < chunks
 
 
 def test_bridge_mean_task_matches_quadrature_small_scale():
@@ -200,14 +227,18 @@ def test_bandwidth_floor_scales_with_interval():
             require_resolvable(bandwidth, interval, 8192)
 
 
-def test_config_dict_excludes_execution_only_fields():
-    cfg = RunConfig(jobs=8)
-    d = config_dict(cfg)
+def test_config_dict_excludes_execution_only_fields(monkeypatch, capsys):
+    # localtime takes every run flag, so its JSON config is the widest
+    table = AggregateTable(("eps",), ((0.5,),))
+    monkeypatch.setattr(cli, "_localtime_table", lambda config: table)
+    assert main(["localtime", "--jobs", "8", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)["config"]
     assert list(d) == [
-        "interval", "grid_points", "epsilon_schedule", "replicates", "master_seed", "z", "process"
+        "command", "interval", "grid_points", "epsilon_schedule", "replicates", "master_seed", "z",
+        "process",
     ]
     assert d["replicates"] == 50_000
-    assert tuple(d["epsilon_schedule"]) == cfg.epsilon_schedule
+    assert tuple(d["epsilon_schedule"]) == RunConfig().epsilon_schedule
 
 
 def test_derive_master_is_stable_and_tag_sensitive():
@@ -230,13 +261,13 @@ def test_report_csv_roundtrip_exact():
 
 
 def test_report_json_roundtrip_with_config():
-    cfg = RunConfig()
+    config = {"interval": [0.0, 2.0], "epsilon_schedule": [0.08, 0.04], "master_seed": 0}
     reports = [two_sided_report("claim-c", (1.0, 2.0), (1.0, 2.0), 1e-6)]
-    text = reports_to_json(reports, config_dict(cfg), "9.9.9")
+    text = reports_to_json(reports, config, "9.9.9")
     back, cfg_d, version = reports_from_json(text)
     assert back == reports
     assert version == "9.9.9"
-    assert cfg_d == config_dict(cfg)
+    assert cfg_d == config
 
 
 def test_table_roundtrips_preserve_none_cells():
