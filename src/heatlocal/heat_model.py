@@ -8,12 +8,14 @@ with covariance
 obtained by integrating the squared heat kernel over the driving time.  The
 objects of interest are increments of that field relative to the left
 endpoint of an interval.  Two independent Monte Carlo tasks sample them at
-a few points.  The Cholesky route factors the increment covariance built
-from R.  The sheet route never uses R: it discretises the driving sheet,
-sums the heat-kernel Riemann sums into the exact covariance K K^T of the
-discretised field, and samples that law through its Cholesky factor.  The
-circulant-embedding weights behind the uniform-grid sampler
-``local_time.heat_paths`` live here too.
+a few points; each has a block form that draws a range of replicates in
+one call and gives every row the task's bytes.  The Cholesky route
+factors the increment covariance built from R.  The sheet route never
+uses R: it discretises the driving sheet, sums the heat-kernel Riemann
+sums into the exact covariance K K^T of the discretised field, and
+samples that law through its Cholesky factor.  The circulant-embedding
+weights behind the uniform-grid sampler ``local_time.heat_paths`` live
+here too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy import special
 
 from .errors import CutoffTooCoarse, NonPositiveTime
 from .grids import SpatialGrid
-from .sampling import SeedSpec, circulant_embedding_weights, jittered_cholesky
+from .sampling import SeedSpec, circulant_embedding_weights, jittered_cholesky, normals_block
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -45,8 +47,11 @@ __all__ = [
     "SheetOperator",
     "build_sheet_operator",
     "sheet_variance_bias",
+    "path_increment_rows",
     "path_increment_replicate",
+    "weighted_increment_square_rows",
     "weighted_increment_square",
+    "sheet_increment_rows",
     "sheet_increment_replicate",
 ]
 
@@ -187,10 +192,13 @@ class SheetOperator:
         self.gram = gram
         self.factor, self.jitter = jittered_cholesky(gram)
 
-    def sample_field(self, seed: SeedSpec) -> np.ndarray:
-        """Undifferenced field values at the evaluation points (base first)."""
-        z = seed.normals(self.factor.shape[0])
-        return np.einsum("ij,j->i", self.factor, z)
+    def sample_fields(self, master_seed: int, start: int, stop: int) -> np.ndarray:
+        """Undifferenced field values at the evaluation points (base first),
+        one row per replicate index in start..stop-1."""
+        z = normals_block(master_seed, start, stop, self.factor.shape[0])
+        # einsum rather than BLAS, as for G: the rows do not depend on the
+        # process's BLAS thread count
+        return np.einsum("ij,bj->bi", self.factor, z)
 
     def field_variance(self) -> np.ndarray:
         """Exact per-point variance of the discretised field (diagonal of G)."""
@@ -206,31 +214,54 @@ def _increment_cholesky(points: tuple, interval: tuple) -> np.ndarray:
     return L
 
 
-def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
-    """One Cholesky-route increment sample as a Monte Carlo task.
+def _one_row(rows, seed: SeedSpec, *args) -> np.ndarray:
+    """The replicate of ``seed``: the one-row block at its index."""
+    i = int(seed.replicate_index)
+    return rows(seed.master_seed, i, i + 1, *args)[0]
+
+
+def path_increment_rows(
+    master_seed: int, start: int, stop: int, points: tuple, interval: tuple
+) -> np.ndarray:
+    """Cholesky-route increment samples, one row per replicate index in start..stop-1.
 
     ``points`` must avoid the interval base, where the increment is
     identically zero; the factor is cached per process so large replicate
-    counts do not refactor the same matrix.
+    counts do not refactor the same matrix.  The stacked product gives
+    each row the bytes of ``L @ z``; ``z @ L.T`` would not.
     """
     L = _increment_cholesky(tuple(points), tuple(interval))
-    z = seed.normals(L.shape[0])
-    return L @ z
+    z = normals_block(master_seed, start, stop, L.shape[0])
+    return np.matmul(L, z[:, :, None])[:, :, 0]
+
+
+def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
+    """One Cholesky-route increment sample as a Monte Carlo task."""
+    return _one_row(path_increment_rows, seed, points, interval)
+
+
+def weighted_increment_square_rows(
+    master_seed: int, start: int, stop: int, points: tuple, coeffs: tuple, interval: tuple
+) -> np.ndarray:
+    """Squared weighted increment sums, one row per replicate index in start..stop-1.
+
+    ``points`` are the step-function breakpoints above the interval base;
+    the increment over the leading cell uses the exact zero at the base.
+    The mean of this statistic is the quadratic form of the step function.
+    Each row's sum is a vector-vector product, which gives it the bytes of
+    ``np.dot``.
+    """
+    vals = path_increment_rows(master_seed, start, stop, points, interval)
+    steps = np.diff(vals, axis=1, prepend=0.0)
+    s = np.matmul(steps[:, None, :], np.asarray(coeffs, dtype=float))
+    return s * s
 
 
 def weighted_increment_square(
     seed: SeedSpec, points: tuple, coeffs: tuple, interval: tuple
 ) -> np.ndarray:
-    """Squared weighted increment sum of one field path (MC task).
-
-    ``points`` are the step-function breakpoints above the interval base;
-    the increment over the leading cell uses the exact zero at the base.
-    The mean of this statistic is the quadratic form of the step function.
-    """
-    vals = path_increment_replicate(seed, points, interval)
-    x = np.concatenate(([0.0], vals))
-    s = float(np.dot(coeffs, np.diff(x)))
-    return np.array([s * s])
+    """Squared weighted increment sum of one field path (MC task)."""
+    return _one_row(weighted_increment_square_rows, seed, points, coeffs, interval)
 
 
 def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:
@@ -243,19 +274,32 @@ def _sheet_operator_cached(points: tuple, interval: tuple) -> SheetOperator:
     return build_sheet_operator(SpatialGrid(np.array(points), interval))
 
 
-def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
-    """One sheet-route increment sample as a Monte Carlo task.
+def sheet_increment_rows(
+    master_seed: int, start: int, stop: int, points: tuple, interval: tuple
+) -> np.ndarray:
+    """Sheet-route increment samples, one row per replicate index in start..stop-1.
 
     Independent of the covariance route: the only inputs are the heat
     kernel and cell noise.  The operator is built once per process and
-    cached, so only the points travel with the task.  Returns the field at
-    the points minus the field at the interval base; a point at the base
-    gets exactly zero.
+    cached, so only the points travel with the task.  Each row is the
+    field at the points minus the field at the interval base; a point at
+    the base gets exactly zero.
     """
     op = _sheet_operator_cached(tuple(points), tuple(interval))
-    field = op.sample_field(seed)
+    field = op.sample_fields(master_seed, start, stop)
     # the field leads with the base value, followed by the points
-    return field[-len(points) :] - field[0]
+    return field[:, -len(points) :] - field[:, :1]
+
+
+def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
+    """One sheet-route increment sample as a Monte Carlo task."""
+    return _one_row(sheet_increment_rows, seed, points, interval)
+
+
+# the block forms :func:`heatlocal.mc.run_replicates` calls once per chunk
+path_increment_replicate.rows = path_increment_rows
+weighted_increment_square.rows = weighted_increment_square_rows
+sheet_increment_replicate.rows = sheet_increment_rows
 
 
 def sheet_variance_bias() -> float:

@@ -1,12 +1,22 @@
 """Parallel Monte Carlo engine with a bit-reproducibility contract.
 
 Replicates are pure functions of (master_seed, replicate_index), processed
-in fixed chunks of :data:`CHUNK` indices.  One ordered map yields the
-per-chunk power sums (numpy pairwise sums) in index order, and they are
-folded in that order; as the chunk boundaries never depend on the worker
-count, the aggregate is bit-identical for any ``jobs`` value.  Pool
-workers keep the BLAS thread count their parent fixed at import, and no
-task's reduction reaches threaded BLAS.
+in fixed chunks of :data:`CHUNK` indices.  A task is a per-replicate
+callable, ``task(SeedSpec) -> 1-d array``.  It may also have a block form,
+``rows(master_seed, start, stop, **keywords) -> (stop - start, d) array``,
+whose row r has the bytes of ``task(SeedSpec(master_seed, start + r))``;
+the engine then calls the block form once per chunk instead of the task
+once per replicate.  One ordered map yields the per-chunk power sums
+(numpy pairwise sums) in index order, and they are folded in that order;
+as the chunk boundaries never depend on the worker count, the aggregate
+is bit-identical for any ``jobs`` value.
+
+Pool workers keep the BLAS thread count their parent fixed at import.
+Some task arithmetic reaches OpenBLAS: the stacked ``matmul`` products of
+the Cholesky route (each row the bytes of ``L @ z``) and of the
+quadratic-form statistic (each row the bytes of ``np.dot``), at sizes
+OpenBLAS runs on one thread.  On a 2-core host 1 and 2 BLAS threads gave
+the same bytes; more threads are untested.
 """
 
 from __future__ import annotations
@@ -91,18 +101,52 @@ class MCResult:
     raw: np.ndarray | None = field(default=None, repr=False)
 
 
-def _chunk_power_sums(task, master_seed: int, n: int, keep_raw: bool, start: int):
-    """Power sums S1..S4 of task outputs for the chunk of indices from ``start``."""
+def _block_form(task):
+    """The block form of ``task`` with the task's keywords bound, or None.
+
+    A task declares its block form as the ``rows`` attribute of its
+    function; a ``functools.partial`` of keywords only is looked through.
+    """
+    if isinstance(task, partial):
+        if task.args:
+            return None
+        func, keywords = task.func, task.keywords
+    else:
+        func, keywords = task, {}
+    rows = getattr(func, "rows", None)
+    return None if rows is None else partial(rows, **keywords)
+
+
+def _replicate_rows(task, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Outputs of ``task`` for the indices start..stop-1, called once per replicate."""
     rows = []
-    for i in range(start, min(start + CHUNK, n)):
+    for i in range(start, stop):
         try:
             rows.append(np.asarray(task(SeedSpec(master_seed, i)), dtype=float))
         except ReplicateFailure:
             raise
         except Exception as exc:  # attach the replicate index, then re-raise
             raise ReplicateFailure(i, f"{type(exc).__name__}: {exc}") from exc
-    block = np.stack(rows)
-    if block.ndim != 2:
+    return np.stack(rows)
+
+
+def _chunk_power_sums(task, rows, master_seed: int, n: int, keep_raw: bool, start: int):
+    """Power sums S1..S4 of task outputs for the chunk of indices from ``start``.
+
+    ``rows`` is the task's block form or None.  When the block form
+    raises, the chunk is replayed one replicate at a time, so the failure
+    names the replicate that raised.
+    """
+    stop = min(start + CHUNK, n)
+    if rows is None:
+        block = _replicate_rows(task, master_seed, start, stop)
+    else:
+        try:
+            block = np.asarray(rows(master_seed, start, stop), dtype=float)
+        except Exception as exc:
+            _replicate_rows(task, master_seed, start, stop)
+            raise ReplicateFailure(start, f"{type(exc).__name__}: {exc}") from exc
+    if block.ndim != 2 or block.shape[0] != stop - start:
         raise ReplicateFailure(start, "task must return a 1-d array per replicate")
     p2 = block * block
     sums = np.stack(
@@ -128,10 +172,12 @@ def run_replicates(
     """Aggregate ``task`` over independent replicates, reproducibly.
 
     ``task(seed: SeedSpec) -> 1-d array`` must be pure and, when jobs > 1,
-    picklable (a module-level function or a partial of one).  A ``config``
-    supplies replicates, master seed and jobs; otherwise the keywords do.
-    Chunks come from builtin ``map``, or from ``ProcessPoolExecutor.map``
-    in a pool; both yield in submission order.  Task exceptions surface as
+    picklable (a module-level function or a partial of one).  Its block
+    form, if any, is the ``rows`` attribute of the function, found through
+    a partial of keywords.  A ``config`` supplies replicates, master seed
+    and jobs; otherwise the keywords do.  Chunks come from builtin ``map``,
+    or from ``ProcessPoolExecutor.map`` in a pool; both yield in submission
+    order.  Task exceptions, of either form, surface as
     :class:`ReplicateFailure` carrying the replicate index, and cancel the
     chunks still queued.
     """
@@ -144,7 +190,7 @@ def run_replicates(
 
     n = replicates
     starts = range(0, n, CHUNK)
-    chunk = partial(_chunk_power_sums, task, master_seed, n, return_raw)
+    chunk = partial(_chunk_power_sums, task, _block_form(task), master_seed, n, return_raw)
     pool = ProcessPoolExecutor(min(jobs, len(starts))) if jobs > 1 and len(starts) > 1 else None
     total = raw = None
     with pool or contextlib.nullcontext():

@@ -46,7 +46,7 @@ def _key(master_seed: int) -> tuple[int, int]:
 
 
 class _Stream(threading.local):
-    """The Philox that :meth:`SeedSpec.normals` reloads per call, one per thread."""
+    """The Philox that :func:`normals_block` reloads per row, one per thread."""
 
     def __init__(self):
         # the key is a placeholder: every draw first loads a whole state
@@ -66,9 +66,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "replicate_index"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
-                raise ValueError(f"{name} must be an integer in [0, 2^64)")
+            _check_word(name, getattr(self, name))
 
     def _words(self) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
         """(key, counter) of this stream's first Philox block."""
@@ -86,23 +84,47 @@ class SeedSpec:
     def normals(self, size: int) -> np.ndarray:
         """The first ``size`` standard normals of this stream.
 
-        Bit-identical to ``self.rng().standard_normal(size)``: the calling
-        thread's module-owned Philox is reset to this stream's key and
-        counter, with an empty output buffer, and the draw is taken from
-        it.  Nothing of an earlier call survives the reset, and the
-        generator is never handed out, so calls cannot disturb each other.
+        Bit-identical to ``self.rng().standard_normal(size)``: the one-row
+        case of :func:`normals_block`.
         """
-        key, counter = self._words()
-        stream = _STREAM
-        stream.bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return stream.generator.standard_normal(size)
+        i = int(self.replicate_index)
+        return normals_block(self.master_seed, i, i + 1, size)[0]
+
+
+def _check_word(name: str, v) -> None:
+    if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
+        raise ValueError(f"{name} must be an integer in [0, 2^64)")
+
+
+def normals_block(master_seed: int, start: int, stop: int, size: int) -> np.ndarray:
+    """The first ``size`` normals of the streams of indices start..stop-1, one per row.
+
+    Row r is ``SeedSpec(master_seed, start + r).rng().standard_normal(size)``
+    bit for bit: for each row the calling thread's module-owned Philox is
+    reset to that stream's key and counter, with an empty output buffer,
+    and the row is drawn in place.  Nothing of an earlier row or call
+    survives the reset, and the generator is never handed out, so calls
+    cannot disturb each other.
+    """
+    _check_word("master_seed", master_seed)
+    if not 0 <= start <= stop <= _UINT64_MAX + 1:
+        raise ValueError(f"replicate range [{start}, {stop}) outside [0, 2^64)")
+    out = np.empty((stop - start, size))
+    words = {"counter": None, "key": _key(int(master_seed))}
+    state = {
+        "bit_generator": "Philox",
+        "state": words,
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    stream = _STREAM
+    for i, row in zip(range(start, stop), out):
+        words["counter"] = (0, 0, i, 0)
+        stream.bitgen.state = state
+        stream.generator.standard_normal(out=row)
+    return out
 
 
 def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:

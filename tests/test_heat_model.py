@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from heatlocal.errors import CutoffTooCoarse
@@ -14,8 +16,10 @@ from heatlocal.heat_model import (
     path_increment_replicate,
     sheet_increment_replicate,
     sheet_variance_bias,
+    weighted_increment_square,
 )
 from heatlocal.local_time import heat_values
+from heatlocal.mc import CHUNK
 from heatlocal.sampling import SeedSpec
 from heatlocal.verify import _AGREE_POINTS
 from reference import CovarianceMatrix, sample_gaussian_vector
@@ -143,7 +147,7 @@ def test_sheet_sample_deterministic_and_base_free():
     assert np.array_equal(s1, s2)
     # the operator evaluates the base first; the task differences it away
     op = build_sheet_operator(SpatialGrid(np.array([0.6, 1.2]), (0.0, 2.0)))
-    field = op.sample_field(SeedSpec(77))
+    field = op.sample_fields(77, 0, 1)[0]
     assert field.shape == (3,)
     assert np.array_equal(s1, field[1:] - field[0])
     # one normal per evaluation point, taken from the head of the stream
@@ -155,3 +159,33 @@ def test_sheet_increments_have_zero_at_base_grid():
     vals = sheet_increment_replicate(SeedSpec(13), (0.0, 0.8, 1.6), (0.0, 2.0))
     assert vals.shape == (3,)
     assert vals[0] == 0.0
+
+
+@st.composite
+def _block_cases(draw):
+    """A covariance-route task, its keywords and a replicate range."""
+    task = draw(
+        st.sampled_from(
+            (path_increment_replicate, sheet_increment_replicate, weighted_increment_square)
+        )
+    )
+    lo = draw(st.floats(-2.0, 2.0))
+    length = draw(st.floats(0.5, 4.0))
+    # 2 to 8 distinct points above the base, at least length / 16 apart
+    cells = sorted(draw(st.lists(st.integers(1, 16), min_size=2, max_size=8, unique=True)))
+    kw = {"points": tuple(lo + length * k / 16 for k in cells), "interval": (lo, lo + length)}
+    if task is weighted_increment_square:
+        coeffs = st.floats(-3.0, 3.0, allow_nan=False)
+        kw["coeffs"] = tuple(draw(st.lists(coeffs, min_size=len(cells), max_size=len(cells))))
+    count = draw(st.integers(1, 2 * CHUNK + 1))
+    start = draw(st.integers(0, 2**64 - count))
+    return task, kw, draw(st.integers(0, 2**64 - 1)), start, start + count
+
+
+@settings(max_examples=30, derandomize=True)
+@given(_block_cases())
+def test_block_forms_are_the_stacked_replicates_byte_for_byte(case):
+    task, kw, master, start, stop = case
+    block = task.rows(master, start, stop, **kw)
+    rows = np.stack([task(SeedSpec(master, i), **kw) for i in range(start, stop)])
+    assert block.tobytes() == rows.tobytes()

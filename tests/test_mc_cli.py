@@ -21,7 +21,11 @@ import scipy
 from heatlocal import cli
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
-from heatlocal.heat_model import path_increment_replicate, sheet_increment_replicate
+from heatlocal.heat_model import (
+    path_increment_replicate,
+    sheet_increment_replicate,
+    weighted_increment_square,
+)
 from heatlocal.local_time import (
     bandwidth_floor,
     bridge_motion_replicate,
@@ -66,6 +70,20 @@ def failing_task(seed, at=7):
     return np.array([0.0])
 
 
+def failing_rows(master_seed, start, stop, at):
+    if start <= at < stop:
+        raise ValueError("boom")
+    return np.zeros((stop - start, 1))
+
+
+def failing_block_task(seed, at):
+    i = seed.replicate_index
+    return failing_rows(seed.master_seed, i, i + 1, at)[0]
+
+
+failing_block_task.rows = failing_rows
+
+
 def chunk_marking_task(seed, marks):
     # each chunk leaves a marker as it starts, then takes a while
     i = seed.replicate_index
@@ -106,6 +124,9 @@ def test_results_identical_across_worker_counts():
 
 
 _INCREMENTS = dict(points=(0.6, 0.9, 1.2, 1.5, 1.8, 2.0), interval=(0.0, 2.0))
+_QUADRATIC_FORM = dict(
+    points=(0.3, 0.8, 1.1, 1.7, 2.0), coeffs=(1.2, -0.7, 2.0, 0.4, -1.5), interval=(0.0, 2.0)
+)
 # a 257-point grid resolves the schedule on (0, 1) and (0, 2), not on (0, 5),
 # and the extra bandwidth on (0, 1)
 _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
@@ -122,6 +143,7 @@ _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
         partial(local_time_replicate, process_tag="motion", interval=(0.0, 1.0), **_PATHS),
         partial(bridge_motion_replicate, extra_eps=0.02, **_PATHS),
         partial(heat_replicate, intervals=((0.0, 1.0), (0.0, 2.0)), **_PATHS),
+        partial(weighted_increment_square, **_QUADRATIC_FORM),
     ),
 )
 def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):
@@ -130,6 +152,55 @@ def test_increment_routes_raw_bytes_identical_across_jobs(route, replicates):
     parallel = run_replicates(route, jobs=2, **kwargs)
     assert serial.raw.shape[0] == replicates
     assert serial.raw.tobytes() == parallel.raw.tobytes()
+
+
+@pytest.mark.parametrize(
+    "route, digest",
+    (
+        (
+            partial(path_increment_replicate, **_INCREMENTS),
+            "3c4fc7f84204f3707775c8f64f0c0f2866c4571a8666e4410bdfb7cb9d3dfe25",
+        ),
+        (
+            partial(sheet_increment_replicate, **_INCREMENTS),
+            "0b4d6643035d92d2691ac6e32f6ad57e59dc80b5e4bd00ef3b11a7a703ea943d",
+        ),
+        (
+            partial(weighted_increment_square, **_QUADRATIC_FORM),
+            "24e6a8225476b9a0a75eb6189fc52688b8b462759941115a32a6c4bc2c03b1b3",
+        ),
+    ),
+)
+def test_increment_routes_emit_golden_raw_bytes(route, digest):
+    # the bytes the engine gave when it called these tasks once per
+    # replicate; the block forms must keep them
+    res = run_replicates(route, replicates=2 * CHUNK + 1, master_seed=29, return_raw=True)
+    assert hashlib.sha256(res.raw.tobytes()).hexdigest() == digest
+
+
+def test_engine_calls_a_block_form_once_per_chunk():
+    calls = []
+
+    def rows(master_seed, start, stop, scale):
+        calls.append((start, stop))
+        return np.full((stop - start, 1), scale)
+
+    # each per-replicate form reads 1 more than its block form, so the
+    # mean tells which form ran
+    def task(seed, scale):
+        return np.array([scale + 1.0])
+
+    def scale_first_task(scale, seed):
+        return np.array([scale + 1.0])
+
+    task.rows = scale_first_task.rows = rows
+    res = run_replicates(partial(task, scale=2.0), replicates=2 * CHUNK + 1, master_seed=3)
+    assert calls == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
+    assert res.mean[0] == 2.0
+    # a positional partial binds an argument the block form cannot take
+    res = run_replicates(partial(scale_first_task, 2.0), replicates=CHUNK + 1, master_seed=3)
+    assert len(calls) == 3
+    assert res.mean[0] == 3.0
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -162,6 +233,30 @@ def test_replicate_failure_crosses_process_boundary():
     assert isinstance(exc_info.value.__cause__, _RemoteTraceback)
     rt = pickle.loads(pickle.dumps(exc_info.value))
     assert rt.replicate_index == at
+
+
+def test_block_form_must_return_one_row_per_replicate():
+    def rows(master_seed, start, stop):
+        return np.zeros((stop - start - 1, 1))
+
+    def task(seed):
+        return np.zeros(1)
+
+    task.rows = rows
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(task, replicates=CHUNK + 5, master_seed=0)
+    assert exc_info.value.replicate_index == 0
+
+
+def test_block_form_failure_crosses_process_boundary_with_its_index():
+    # the third chunk's block form raises; the replay names the replicate
+    at = 2 * CHUNK + 7
+    task = partial(failing_block_task, at=at)
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(task, replicates=3 * CHUNK, master_seed=0, jobs=2)
+    assert exc_info.value.replicate_index == at
+    assert isinstance(exc_info.value.__cause__, _RemoteTraceback)
+    assert pickle.loads(pickle.dumps(exc_info.value)).replicate_index == at
 
 
 def test_pooled_failure_cancels_the_queued_chunks(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heatlocal.local_time import bridge_values, motion_values
+from heatlocal.mc import CHUNK
 from heatlocal.sampling import (
     JITTER_CAP,
     SeedSpec,
@@ -14,6 +15,7 @@ from heatlocal.sampling import (
     _weighted_synthesis,
     circulant_embedding_weights,
     jittered_cholesky,
+    normals_block,
     sample_stationary_values,
 )
 from reference import (
@@ -51,6 +53,19 @@ def test_normals_are_the_head_of_the_rng_stream_bit_for_bit(master, index):
     a = SeedSpec(master, index).normals(37)
     b = SeedSpec(master, index).rng().standard_normal(37)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", (1, 6, 7, 16384))
+@pytest.mark.parametrize(
+    "master, start, stop",
+    ((0, CHUNK - 3, CHUNK + 2), (42, 2 * CHUNK - 1, 2 * CHUNK + 1), (2**64 - 1, 2**64 - 2, 2**64)),
+)
+def test_normals_block_rows_are_the_heads_of_their_streams(size, master, start, stop):
+    # a size off a multiple of 4 leaves words in the Philox buffer, which
+    # the next row must not read
+    block = normals_block(master, start, stop, size)
+    rows = [SeedSpec(master, i).rng().standard_normal(size) for i in range(start, stop)]
+    assert block.tobytes() == np.stack(rows).tobytes()
 
 
 def test_interleaved_normals_restart_each_stream():
@@ -127,6 +142,10 @@ def test_seed_spec_rejects_negative_and_oversized():
         SeedSpec(2**64)
     with pytest.raises(ValueError):
         SeedSpec(0, -2)
+    with pytest.raises(ValueError):
+        normals_block(2**64, 0, 1, 3)
+    with pytest.raises(ValueError):
+        normals_block(0, 2**64 - 1, 2**64 + 1, 3)
 
 
 def test_jittered_cholesky_exact_on_pd_matrix(rng):
