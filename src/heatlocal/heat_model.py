@@ -9,13 +9,15 @@ obtained by integrating the squared heat kernel over the driving time.  The
 objects of interest are increments of that field relative to the left
 endpoint of an interval.  Two independent Monte Carlo tasks sample them at
 a few points; each has a block form that draws a range of replicates in
-one call and gives every row the task's bytes.  The Cholesky route
-factors the increment covariance built from R.  The sheet route never
-uses R: it discretises the driving sheet, sums the heat-kernel Riemann
-sums into the exact covariance K K^T of the discretised field, and
-samples that law through its Cholesky factor.  The circulant-embedding
-weights behind the uniform-grid sampler ``local_time.heat_paths`` live
-here too.
+one call and gives every row the task's bytes.  A replicate's normals are
+its fixed-width row of :func:`heatlocal.sampling.normals_block`, not the
+head of its path stream, so a block reads them all in one call.  The
+Cholesky route factors the increment covariance built from R.  The sheet
+route never uses R: it discretises the driving sheet, sums the
+heat-kernel Riemann sums into the exact covariance K K^T of the
+discretised field, and samples that law through its Cholesky factor.
+The circulant-embedding weights behind the uniform-grid sampler
+``local_time.heat_paths`` live here too.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ callable, ``task(SeedSpec) -> 1-d array``.  It may also have a block form,
 ``rows(master_seed, start, stop, **keywords) -> (stop - start, d) array``,
 whose row r has the bytes of ``task(SeedSpec(master_seed, start + r))``;
 the engine then calls the block form once per chunk instead of the task
-once per replicate.  One ordered map yields the per-chunk power sums
-(numpy pairwise sums) in index order, and they are folded in that order;
-as the chunk boundaries never depend on the worker count, the aggregate
-is bit-identical for any ``jobs`` value.
+once per replicate.  The local-time tasks draw from the path stream of
+their SeedSpec and have no block form; the covariance-route tasks draw
+fixed-width rows (:func:`heatlocal.sampling.normals_block`), which a
+block form reads for a whole chunk in one call.  One ordered map yields
+the per-chunk power sums (numpy pairwise sums) in index order, and they
+are folded in that order; as the chunk boundaries never depend on the
+worker count, the aggregate is bit-identical for any ``jobs`` value.
 
 Pool workers keep the BLAS thread count their parent fixed at import.
 Some task arithmetic reaches OpenBLAS: the stacked ``matmul`` products of

@@ -1,14 +1,24 @@
 """Reproducible Gaussian sampling primitives: seeded streams, a jittered
 Cholesky factor and circulant embedding.
 
-Every random draw in the package flows through a :class:`SeedSpec`: a
-(master seed, replicate index) pair naming one stream of the counter-based
-Philox4x64-10 generator (Salmon et al., SC 2011).  The master seed fixes
-the key, hashed once per seed by a SeedSequence; the replicate index is
-the third of the four 64-bit counter words, and draws advance only the
-first, so distinct indices read disjoint counter ranges.  Identical specs
-give bit-identical output on every platform and worker layout, which is
-what makes the parallel Monte Carlo engine deterministic.
+Every random draw in the package reads the counter-based Philox4x64-10
+generator (Salmon et al., SC 2011) under the key of its master seed, hashed
+once per seed by a SeedSequence.  Two kinds of stream share that key and
+keep to disjoint counter domains, told apart by the fourth counter word:
+
+* A path stream, named by a :class:`SeedSpec` (master seed, replicate
+  index), starts at counter [0, 0, index, 0] and advances the first word;
+  :meth:`SeedSpec.normals` reads its head with numpy's ziggurat, and
+  :meth:`SeedSpec.rng` hands it out as an open-ended generator.  The
+  local-time paths, and the spectral and gram sweeps, draw from these.
+* A fixed-width row, drawn by :func:`normals_block`, reads a fixed run of
+  counters with fourth word 1, so a whole range of replicate indices is
+  one contiguous read.  The covariance-route tasks (Cholesky, sheet and
+  the quadratic-form statistic) draw from these.
+
+Identical (master, index) pairs give bit-identical output on every
+platform and worker layout, which is what makes the parallel Monte Carlo
+engine deterministic.
 
 Stationary sequences are drawn by circulant embedding in two steps: m
 normals are packed into a half spectrum, which any embedding of length m
@@ -23,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft
+from scipy.special import ndtri
 
 from .errors import NonPSD
 
@@ -34,8 +45,14 @@ JITTER_CAP = 1e-8
 
 _UINT64_MAX = 2**64 - 1
 
-# the stream scheme of :class:`SeedSpec`, recorded with every JSON result
-STREAM = "philox4x64-10 key=SeedSequence(master).generate_state(2) counter=[0, 0, index, 0]"
+# the two stream kinds, recorded with every JSON result
+STREAM = (
+    "philox4x64-10 key=SeedSequence(master).generate_state(2); "
+    "path: counter=[0, 0, index, 0], ziggurat normals; "
+    "fixed-width row of s normals: the first s words w of the blocks after "
+    "counter=[B*index mod 2^64, B*index div 2^64, 0, 1], B=ceil(s/4), "
+    "each ndtri(((w >> 11) + 0.5) * 2^-53)"
+)
 
 
 @lru_cache(maxsize=64)
@@ -46,12 +63,34 @@ def _key(master_seed: int) -> tuple[int, int]:
 
 
 class _Stream(threading.local):
-    """The Philox that :func:`normals_block` reloads per row, one per thread."""
+    """The Philox every fixed-size draw loads a state into, one per thread."""
 
     def __init__(self):
         # the key is a placeholder: every draw first loads a whole state
         self.bitgen = np.random.Philox(key=0)
         self.generator = np.random.Generator(self.bitgen)
+        self._words = {"counter": None, "key": None}
+        self._state = {
+            "bit_generator": "Philox",
+            "state": self._words,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def load(self, key: tuple[int, int], counter: tuple[int, int, int, int]):
+        """This thread's generator, its Philox at (key, counter) with an empty buffer.
+
+        Nothing of an earlier draw survives, and callers draw from the
+        generator at once and never keep it, so draws cannot disturb each
+        other.
+        """
+        words = self._words
+        words["key"] = key
+        words["counter"] = counter
+        self.bitgen.state = self._state
+        return self.generator
 
 
 _STREAM = _Stream()
@@ -59,7 +98,7 @@ _STREAM = _Stream()
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus replicate index identifying one random stream."""
+    """Master seed plus replicate index identifying one path stream."""
 
     master_seed: int
     replicate_index: int = 0
@@ -84,11 +123,10 @@ class SeedSpec:
     def normals(self, size: int) -> np.ndarray:
         """The first ``size`` standard normals of this stream.
 
-        Bit-identical to ``self.rng().standard_normal(size)``: the one-row
-        case of :func:`normals_block`.
+        Bit-identical to ``self.rng().standard_normal(size)``, drawn from
+        the calling thread's module-owned Philox.
         """
-        i = int(self.replicate_index)
-        return normals_block(self.master_seed, i, i + 1, size)[0]
+        return _STREAM.load(*self._words()).standard_normal(size)
 
 
 def _check_word(name: str, v) -> None:
@@ -96,35 +134,52 @@ def _check_word(name: str, v) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
 
-def normals_block(master_seed: int, start: int, stop: int, size: int) -> np.ndarray:
-    """The first ``size`` normals of the streams of indices start..stop-1, one per row.
+def _row_stream(master_seed: int, start: int, size: int) -> tuple[np.random.Generator, int]:
+    """The calling thread's generator at fixed-width row ``start``, and its words per row.
 
-    Row r is ``SeedSpec(master_seed, start + r).rng().standard_normal(size)``
-    bit for bit: for each row the calling thread's module-owned Philox is
-    reset to that stream's key and counter, with an empty output buffer,
-    and the row is drawn in place.  Nothing of an earlier row or call
-    survives the reset, and the generator is never handed out, so calls
-    cannot disturb each other.
+    Row i reads the first ``size`` words of the B = ceil(size / 4) Philox
+    blocks at counters B i + 1 .. B i + B: a 128-bit count in the first
+    two counter words, with the fourth set to 1, a domain no path stream
+    reaches.  So rows share no block, and rows start, start + 1, ... are
+    one contiguous read of 4 B words each.
+    """
+    blocks = -(-size // 4)
+    first = blocks * start
+    key = _key(int(master_seed))
+    return _STREAM.load(key, (first & _UINT64_MAX, first >> 64, 0, 1)), 4 * blocks
+
+
+def _normals_of_uniforms(r: np.ndarray) -> np.ndarray:
+    """Standard normals Phi^-1(r + 2^-54) of uniforms r = (w >> 11) 2^-53.
+
+    So each uses the open-interval uniform u = ((w >> 11) + 0.5) 2^-53.
+    Above 1/2, u needs 54 significant bits and the largest would round to
+    1, so u is never formed: e = u - 1/2 and min(u, 1 - u) = 1/2 - |e| are
+    exact, and Phi^-1(u) = copysign(Phi^-1(1/2 - |e|), e).  ``r`` is
+    overwritten with e.
+    """
+    r -= 0.5 - 2.0**-54
+    a = np.abs(r)
+    np.subtract(0.5, a, out=a)
+    z = ndtri(a, out=a)
+    return np.copysign(z, r, out=z)
+
+
+def normals_block(master_seed: int, start: int, stop: int, size: int) -> np.ndarray:
+    """Fixed-width rows of ``size`` standard normals for indices start..stop-1.
+
+    Row i is a pure function of (master_seed, i) and ``size``, read from
+    the fixed-width counter domain (see :func:`_row_stream`); it is not
+    the head of the path stream ``SeedSpec(master_seed, i)``.  A range
+    costs one state load, one read of 53-bit uniforms (numpy's
+    ``Generator.random``, which maps each word w to (w >> 11) 2^-53) and
+    one vectorised transform, and any split of it gives the same rows.
     """
     _check_word("master_seed", master_seed)
     if not 0 <= start <= stop <= _UINT64_MAX + 1:
         raise ValueError(f"replicate range [{start}, {stop}) outside [0, 2^64)")
-    out = np.empty((stop - start, size))
-    words = {"counter": None, "key": _key(int(master_seed))}
-    state = {
-        "bit_generator": "Philox",
-        "state": words,
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    stream = _STREAM
-    for i, row in zip(range(start, stop), out):
-        words["counter"] = (0, 0, i, 0)
-        stream.bitgen.state = state
-        stream.generator.standard_normal(out=row)
-    return out
+    generator, width = _row_stream(master_seed, start, size)
+    return _normals_of_uniforms(generator.random((stop - start, width))[:, :size])
 
 
 def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:

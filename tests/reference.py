@@ -3,10 +3,11 @@
 The package samples each process by one exact route: increments for the
 motion and the bridge, circulant embedding for the heat field.  The
 covariance route here draws a centred Gaussian vector as L z, for the
-Cholesky factor L of its covariance matrix and a standard normal z from a
-seed's stream, and the closed form gives the simplex integrals that the
-quadratures in ``heatlocal.gram`` must hit.  pytest does not collect this
-module; tests import from it.
+Cholesky factor L of its covariance matrix and the seed's fixed-width row
+of standard normals z, as the package's Cholesky route does, and the
+closed form gives the simplex integrals that the quadratures in
+``heatlocal.gram`` must hit.  pytest does not collect this module; tests
+import from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from heatlocal.sampling import SeedSpec, jittered_cholesky
+from heatlocal.sampling import SeedSpec, jittered_cholesky, normals_block
 
 
 @dataclass
@@ -42,11 +43,12 @@ class CovarianceMatrix:
 def sample_gaussian_vector(cov: CovarianceMatrix, seed: SeedSpec) -> np.ndarray:
     """Draw one centred Gaussian vector with the given covariance.
 
-    The draw is ``L z`` for the (jittered) Cholesky factor ``L`` and a
-    standard normal ``z`` from the seed's stream.
+    The draw is ``L z`` for the (jittered) Cholesky factor ``L`` and the
+    seed's fixed-width row ``z`` of standard normals.
     """
     L, _ = jittered_cholesky(cov.entries)
-    z = seed.normals(cov.dim)
+    i = int(seed.replicate_index)
+    z = normals_block(seed.master_seed, i, i + 1, cov.dim)[0]
     return L @ z
 
 

@@ -20,7 +20,7 @@ from heatlocal.heat_model import (
 )
 from heatlocal.local_time import heat_values
 from heatlocal.mc import CHUNK
-from heatlocal.sampling import SeedSpec
+from heatlocal.sampling import SeedSpec, normals_block
 from heatlocal.verify import _AGREE_POINTS
 from reference import CovarianceMatrix, sample_gaussian_vector
 
@@ -150,8 +150,8 @@ def test_sheet_sample_deterministic_and_base_free():
     field = op.sample_fields(77, 0, 1)[0]
     assert field.shape == (3,)
     assert np.array_equal(s1, field[1:] - field[0])
-    # one normal per evaluation point, taken from the head of the stream
-    z = SeedSpec(77).rng().standard_normal(3)
+    # one normal per evaluation point, the fixed-width row of index 0
+    z = normals_block(77, 0, 1, 3)[0]
     assert np.array_equal(field, np.einsum("ij,j->i", op.factor, z))
 
 

@@ -3,8 +3,11 @@
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heatlocal.local_time import bridge_values, motion_values
 from heatlocal.mc import CHUNK
@@ -12,6 +15,8 @@ from heatlocal.sampling import (
     JITTER_CAP,
     SeedSpec,
     _half_spectrum,
+    _normals_of_uniforms,
+    _row_stream,
     _weighted_synthesis,
     circulant_embedding_weights,
     jittered_cholesky,
@@ -55,17 +60,87 @@ def test_normals_are_the_head_of_the_rng_stream_bit_for_bit(master, index):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("size", (1, 6, 7, 16384))
-@pytest.mark.parametrize(
-    "master, start, stop",
-    ((0, CHUNK - 3, CHUNK + 2), (42, 2 * CHUNK - 1, 2 * CHUNK + 1), (2**64 - 1, 2**64 - 2, 2**64)),
-)
-def test_normals_block_rows_are_the_heads_of_their_streams(size, master, start, stop):
-    # a size off a multiple of 4 leaves words in the Philox buffer, which
-    # the next row must not read
+@st.composite
+def _block_ranges(draw):
+    """A master seed, a row size and a range of rows with a split point.
+
+    Each range holds the index before an anchor and the anchor: a chunk
+    boundary, the top of the index range, or the first index whose B i
+    carries into the second counter word.
+    """
+    size = draw(st.sampled_from((1, 5, 6, 7, 16384)))
+    blocks = -(-size // 4)
+    count = draw(st.integers(2, 3 if size > 64 else 40))
+    anchor = draw(st.sampled_from((CHUNK, 2 * CHUNK, 2**64, -(-(2**64) // blocks))))
+    start = min(anchor - draw(st.integers(1, count - 1)), 2**64 - count)
+    stop = start + count
+    master = draw(st.sampled_from((0, 42, 2**64 - 1)) | st.integers(0, 2**64 - 1))
+    return master, size, start, draw(st.integers(start, stop)), stop
+
+
+@settings(max_examples=30, derandomize=True)
+@given(_block_ranges())
+@example((2**64 - 1, 6, 2**63 - 1, 2**63, 2**63 + 1))  # B = 2 carries at 2^63
+@example((0, 16384, 2**52 - 1, 2**52 - 1, 2**52 + 1))  # B = 4096 carries at 2^52
+@example((42, 7, CHUNK - 2, CHUNK, CHUNK + 3))
+@example((5, 5, 2**64 - 3, 2**64 - 1, 2**64))
+def test_normals_block_equals_its_rows_and_any_split(case):
+    master, size, start, mid, stop = case
     block = normals_block(master, start, stop, size)
-    rows = [SeedSpec(master, i).rng().standard_normal(size) for i in range(start, stop)]
-    assert block.tobytes() == np.stack(rows).tobytes()
+    assert block.shape == (stop - start, size)
+    rows = np.stack([normals_block(master, i, i + 1, size)[0] for i in range(start, stop)])
+    assert block.tobytes() == rows.tobytes()
+    halves = np.concatenate(
+        [normals_block(master, start, mid, size), normals_block(master, mid, stop, size)]
+    )
+    assert block.tobytes() == halves.tobytes()
+
+
+def _row_words(master, start, stop, size):
+    """The Philox words fixed-width rows start..stop-1 read, one row each."""
+    generator, width = _row_stream(master, start, size)
+    return generator.bit_generator.random_raw((stop - start, width))[:, :size]
+
+
+@pytest.mark.parametrize("master", (0, 2**64 - 1))
+def test_fixed_width_words_share_no_word_with_the_path_streams(master):
+    # size 8 reads whole blocks, so every word of every row is compared
+    indices = [*range(32), 2**63, 2**64 - 1]
+    fixed = np.concatenate([_row_words(master, i, i + 1, 8).ravel() for i in indices])
+    path = np.concatenate(
+        [SeedSpec(master, i).rng().bit_generator.random_raw(256) for i in indices]
+    )
+    # distinct 64-bit words: no block is read twice, by two rows or two kinds
+    assert np.unique(fixed).size == fixed.size
+    assert np.intersect1d(fixed, path).size == 0
+
+
+def test_normals_block_rows_are_the_transform_of_their_words():
+    words = _row_words(7, 1000, 1003, 7)
+    uniforms = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    block = normals_block(7, 1000, 1003, 7)
+    assert block.tobytes() == _normals_of_uniforms(uniforms).tobytes()
+
+
+def test_fixed_width_normals_have_standard_moments():
+    n = 2**20
+    z = normals_block(2026, 0, n // 16, 16).ravel()
+    assert abs(np.mean(z)) < 5 * np.sqrt(1 / n)
+    assert abs(np.mean(z**2) - 1) < 5 * np.sqrt(2 / n)
+    assert abs(np.mean(z**4) - 3) < 5 * np.sqrt(96 / n)
+    assert np.max(np.abs(z)) <= 8.3
+
+
+def test_fixed_width_transform_is_finite_and_odd_at_the_extreme_words():
+    # w >> 11 = 0, 2^52 - 1, 2^52 and 2^53 - 1, the uniforms 2^-54,
+    # 1/2 -+ 2^-54 and 1 - 2^-54; formed directly in floating point, the
+    # last would round to 1 and map to infinity
+    k = np.array([0, 2**52 - 1, 2**52, 2**53 - 1], dtype=float)
+    z = _normals_of_uniforms(k * 2.0**-53)
+    tail = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(2) ** -53 - 1))
+    assert z[0] == pytest.approx(tail, rel=1e-14)
+    assert z[1] == pytest.approx(-np.sqrt(2 * np.pi) * 2.0**-54, rel=1e-9)
+    assert z.tolist() == [z[0], z[1], -z[1], -z[0]]
 
 
 def test_interleaved_normals_restart_each_stream():
@@ -91,12 +166,15 @@ def test_normals_from_concurrent_threads_match_their_streams():
     # draw from the stream another thread just loaded
     specs = [SeedSpec(11, i) for i in range(64)]
     expected = [s.rng().standard_normal(6) for s in specs]
+    rows = normals_block(11, 0, len(specs), 6)
     mismatches = []
 
     def worker(offset):
         for _ in range(200):
             for k in range(offset, len(specs), 4):
                 if not np.array_equal(specs[k].normals(6), expected[k]):
+                    mismatches.append(k)
+                if not np.array_equal(normals_block(11, k, k + 1, 6)[0], rows[k]):
                     mismatches.append(k)
 
     interval = sys.getswitchinterval()
