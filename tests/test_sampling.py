@@ -96,6 +96,28 @@ def test_normals_block_equals_its_rows_and_any_split(case):
     assert block.tobytes() == halves.tobytes()
 
 
+@pytest.mark.parametrize("size", (1, 6, 7, 16384))
+@pytest.mark.parametrize(
+    "master, start, stop",
+    ((0, CHUNK - 3, CHUNK + 2), (42, 2 * CHUNK - 1, 2 * CHUNK + 1), (2**64 - 1, 2**64 - 2, 2**64)),
+)
+def test_normals_block_rows_are_the_heads_of_their_streams(size, master, start, stop):
+    # each row is the head of its own fixed-width stream, a new Philox
+    # built here from the documented key and counter; a size off a
+    # multiple of 4 leaves words in the Philox buffer, which the next row
+    # must not read
+    block = normals_block(master, start, stop, size)
+    key = np.random.SeedSequence(master).generate_state(2, np.uint64)
+    blocks = -(-size // 4)
+    rows = []
+    for i in range(start, stop):
+        first = blocks * i
+        counter = np.array([first % 2**64, first // 2**64, 0, 1], dtype=np.uint64)
+        uniforms = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(size)
+        rows.append(_normals_of_uniforms(uniforms))
+    assert block.tobytes() == np.stack(rows).tobytes()
+
+
 def _row_words(master, start, stop, size):
     """The Philox words fixed-width rows start..stop-1 read, one row each."""
     generator, width = _row_stream(master, start, size)
