@@ -18,7 +18,10 @@ Submodules:
 * ``cli``: command-line entry point.
 
 Every Monte Carlo task is an array kernel ``f(seed, ...) -> np.ndarray``
-that the engine maps over (master seed, replicate index) pairs.
+that the engine maps over (master seed, replicate index) pairs.  A task
+may also carry a block form, the ``rows`` attribute of its function:
+``rows(master_seed, start, stop, ...)`` returns the same rows for a whole
+chunk of indices, and the engine then calls it once per chunk.
 """
 
 from ._version import __version__

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands either run the claim suite (verify and its spectral / gram /
-moments subsets, emitting one report row per claim) or produce aggregate
-tables (simulate, localtime).  Output goes to --out or stdout as CSV or
-JSON; a human-readable status summary goes to stderr.
+One subcommand per kind of output: verify runs the claim suite and emits
+one report row per claim; simulate and localtime produce aggregate tables.
+Output goes to --out or stdout as CSV or JSON; a human-readable status
+summary goes to stderr.
 
 Exit codes: 0 success, 1 at least one failed claim, 2 configuration or
 output error.
@@ -34,21 +34,7 @@ from .reports import (
     table_to_csv,
     table_to_json,
 )
-from .verify import (
-    exit_code,
-    first_failure,
-    gram_reports,
-    moment_reports,
-    spectral_reports,
-    verify_all,
-)
-
-_REPORT_COMMANDS = {
-    "verify": verify_all,
-    "spectral": spectral_reports,
-    "gram": gram_reports,
-    "moments": moment_reports,
-}
+from .verify import exit_code, first_failure, verify_all
 
 
 def _eps_schedule(text: str) -> tuple[float, ...]:
@@ -65,9 +51,6 @@ COMMAND_FLAGS = {
     "simulate": ("interval", "grid", "reps", "seed", "jobs", "process"),
     "localtime": ("interval", "grid", "eps", "reps", "seed", "jobs", "z", "process"),
     "verify": ("interval", "grid", "eps", "reps", "seed", "jobs"),
-    "spectral": ("reps", "seed", "jobs"),
-    "gram": ("seed",),
-    "moments": ("reps",),
 }
 
 # the add_argument options of each run flag; its dest is the RunConfig field it sets
@@ -87,9 +70,6 @@ _FLAG_OPTIONS = {
 _HELP = {
     "simulate": "aggregate path statistics per grid point",
     "localtime": "smoothed local-time aggregates per bandwidth",
-    "moments": "moment and density identity claims",
-    "spectral": "quadratic-form and bound claims",
-    "gram": "Gram determinant claims",
     "verify": "the full claim suite",
 }
 
@@ -211,14 +191,16 @@ def _out_problem(path: str | None) -> str | None:
     """Why ``--out`` cannot be written, checked before any work; None if it can."""
     if path is None:
         return None
-    out_dir = os.path.dirname(os.path.realpath(path))
+    # resolved as _emit resolves it: "" is the working directory
+    resolved = os.path.realpath(path)
+    out_dir = os.path.dirname(resolved)
     if not os.path.isdir(out_dir):
         return f"no directory {out_dir} for --out"
-    if os.path.isdir(path):
-        return f"--out {path} is a directory"
+    if os.path.isdir(resolved):
+        return f"--out {path!r} is the directory {resolved}"
     # the output is renamed into the directory; an existing file must
     # also be writable itself
-    for target in (out_dir, path) if os.path.exists(path) else (out_dir,):
+    for target in (out_dir, resolved) if os.path.exists(resolved) else (out_dir,):
         if not os.access(target, os.W_OK):
             return f"{target} is not writable for --out"
     return None
@@ -234,8 +216,8 @@ def main(argv=None) -> int:
     reports = []
     try:
         config = config_from_args(args)
-        if args.command in _REPORT_COMMANDS:
-            reports = _REPORT_COMMANDS[args.command](config)
+        if args.command == "verify":
+            reports = verify_all(config)
             body, to_csv, to_json = reports, reports_to_csv, reports_to_json
         else:
             build = _simulate_table if args.command == "simulate" else _localtime_table

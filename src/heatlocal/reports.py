@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
@@ -100,10 +100,11 @@ def bound_report(
 
     ``slack`` holds margins that should be nonnegative (bound satisfied);
     expected is identically zero, so a fail implies the recorded slack is
-    genuinely below -tolerance.  A bound carries no standard error.
+    genuinely below -tolerance.  A bound carries no standard error.  With
+    no slack at all it checks nothing, so it reports insufficient power.
     """
     s = _as_tuple(slack)
-    if insufficient:
+    if insufficient or not s:
         status = INSUFFICIENT
     else:
         status = PASS if all(v >= -tolerance for v in s) else FAIL
@@ -115,26 +116,17 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _fmt_opt(x: float | None, missing):
-    return missing if x is None else _fmt(x)
+def _fmt_opt(x: float | None) -> str | None:
+    return None if x is None else _fmt(x)
 
 
 def _parse_opt(s) -> float | None:
     return None if s is None or s == "" else float(s)
 
 
-def _fmt_seq(xs: tuple[float, ...]) -> str:
-    return "|".join(_fmt(x) for x in xs)
-
-
-def _parse_seq(s: str) -> tuple[float, ...]:
-    if s == "":
-        return ()
-    return tuple(float(p) for p in s.split("|"))
-
-
 def _write_csv(header, rows) -> str:
     buf = io.StringIO()
+    # the writer emits a None cell as an empty one
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -172,62 +164,16 @@ def _from_envelope(text: str, key: str) -> tuple[object, dict, str]:
 # claim reports
 
 
-CSV_FIELDS = (
-    "claim_id",
-    "status",
-    "observed",
-    "expected",
-    "tolerance",
-    "standard_error",
-    "runtime_ms",
-)
-
-
-def reports_to_csv(reports: list[SuiteReport]) -> str:
-    return _write_csv(
-        CSV_FIELDS,
-        (
-            [
-                r.claim_id,
-                r.status,
-                _fmt_seq(r.observed),
-                _fmt_seq(r.expected),
-                _fmt(r.tolerance),
-                _fmt_opt(r.standard_error, ""),
-                _fmt(r.runtime_ms),
-            ]
-            for r in reports
-        ),
-    )
-
-
-def reports_from_csv(text: str) -> list[SuiteReport]:
-    header, rows = _read_csv(text)
-    if tuple(header) != CSV_FIELDS:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [
-        SuiteReport(
-            claim_id=row[0],
-            status=row[1],
-            observed=_parse_seq(row[2]),
-            expected=_parse_seq(row[3]),
-            tolerance=float(row[4]),
-            standard_error=_parse_opt(row[5]),
-            runtime_ms=float(row[6]),
-        )
-        for row in rows
-    ]
-
-
 def report_to_dict(r: SuiteReport) -> dict:
-    # key order is fixed by construction; json.dumps preserves it
+    """A report's fields encoded as strings, in field order: the JSON object,
+    and the CSV row once each list is joined by "|"."""
     return {
         "claim_id": r.claim_id,
         "status": r.status,
         "observed": [_fmt(x) for x in r.observed],
         "expected": [_fmt(x) for x in r.expected],
         "tolerance": _fmt(r.tolerance),
-        "standard_error": _fmt_opt(r.standard_error, None),
+        "standard_error": _fmt_opt(r.standard_error),
         "runtime_ms": _fmt(r.runtime_ms),
     }
 
@@ -242,6 +188,34 @@ def report_from_dict(d: dict) -> SuiteReport:
         standard_error=_parse_opt(d["standard_error"]),
         runtime_ms=float(d["runtime_ms"]),
     )
+
+
+CSV_FIELDS = tuple(f.name for f in fields(SuiteReport))
+
+# the fields whose encoding is a list, one CSV cell joined by "|"
+_LIST_FIELDS = ("observed", "expected")
+
+
+def reports_to_csv(reports: list[SuiteReport]) -> str:
+    rows = (report_to_dict(r).values() for r in reports)
+    return _write_csv(
+        CSV_FIELDS, (["|".join(v) if isinstance(v, list) else v for v in row] for row in rows)
+    )
+
+
+def reports_from_csv(text: str) -> list[SuiteReport]:
+    header, rows = _read_csv(text)
+    if tuple(header) != CSV_FIELDS:
+        raise ValueError(f"unexpected CSV header {header}")
+    return [
+        report_from_dict(
+            {
+                name: (cell.split("|") if cell else []) if name in _LIST_FIELDS else cell
+                for name, cell in zip(CSV_FIELDS, row, strict=True)
+            }
+        )
+        for row in rows
+    ]
 
 
 def reports_to_json(
@@ -278,7 +252,7 @@ class AggregateTable:
 
 
 def table_to_csv(table: AggregateTable) -> str:
-    return _write_csv(table.columns, ([_fmt_opt(v, "") for v in row] for row in table.rows))
+    return _write_csv(table.columns, ([_fmt_opt(v) for v in row] for row in table.rows))
 
 
 def table_from_csv(text: str) -> AggregateTable:
@@ -292,7 +266,7 @@ def table_from_csv(text: str) -> AggregateTable:
 def table_to_json(table: AggregateTable, config: dict | None = None, version: str = "") -> str:
     body = {
         "columns": list(table.columns),
-        "rows": [[_fmt_opt(v, None) for v in row] for row in table.rows],
+        "rows": [[_fmt_opt(v) for v in row] for row in table.rows],
     }
     return _to_envelope("aggregate", body, config, version)
 

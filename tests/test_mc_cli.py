@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
-from heatlocal import cli
+from heatlocal import cli, verify
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import (
@@ -517,6 +517,10 @@ def test_report_status_logic():
     )
     assert bound_report("x", -1e-12, 1e-9).status == "pass"
     assert bound_report("x", -1e-6, 1e-9).status == "fail"
+    # a bound with no slack checks nothing, so it is no pass
+    empty = bound_report("x", (), 1e-9)
+    assert empty.status == "insufficient-power"
+    assert empty.observed == empty.expected == ()
 
 
 def test_cli_config_error_exit_code(capsys):
@@ -527,16 +531,15 @@ def test_cli_config_error_exit_code(capsys):
 
 def test_cli_bad_flag_exits_two(capsys):
     bad = (["verify", "--format", "xml"], ["explode"], ["localtime", "--process", "poisson"])
+    # the block commands are gone; their rows are rows of verify
+    unknown = (["spectral", "--reps", "50"], ["gram"], ["moments", "--reps", "50"])
     # a flag the command does not read is refused, not ignored
     removed = (
         ["simulate", "--eps", "0.5"],
         ["verify", "--z", "0"],
         ["verify", "--process", "bridge"],
-        ["spectral", "--grid", "4096"],
-        ["gram", "--grid", "4096"],
-        ["moments", "--seed", "1"],
     )
-    for argv in bad + removed:
+    for argv in bad + unknown + removed:
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
@@ -546,35 +549,53 @@ def test_cli_bad_flag_exits_two(capsys):
         assert usage.startswith(f"usage: heatlocal {command}")
 
 
-def test_cli_moments_subset_csv(capsys):
-    rc = main(["moments", "--reps", "50"])
+def _verify_only(monkeypatch, block: str) -> list[str]:
+    """Leave the claims of ``block`` the only ones verify runs; return their ids."""
+    claims = tuple(c for c in verify.CLAIMS if c.block == block)
+    monkeypatch.setattr(verify, "CLAIMS", claims)
+    return [c.claim_id for c in claims]
+
+
+def test_cli_moments_subset_csv(monkeypatch, capsys):
+    ids = _verify_only(monkeypatch, "moments")
+    rc = main(["verify", "--reps", "50"])
     captured = capsys.readouterr()
     assert rc == 0
     rows = list(csv.reader(io.StringIO(captured.out)))
     assert rows[0][0] == "claim_id"
-    ids = [r[0] for r in rows[1:]]
+    assert [r[0] for r in rows[1:]] == ids
     assert "conditional-moment-identity" in ids
     assert all(r[1] in ("pass", "insufficient-power") for r in rows[1:])
 
 
-def test_cli_writes_json_file(tmp_path):
+def test_cli_writes_json_file(tmp_path, monkeypatch):
+    ids = _verify_only(monkeypatch, "gram")
     out = tmp_path / "gram.json"
-    rc = main(["gram", "--format", "json", "--out", str(out)])
+    rc = main(["verify", "--format", "json", "--out", str(out)])
     assert rc == 0
     reports, cfg, version = reports_from_json(out.read_text())
+    assert [r.claim_id for r in reports] == ids
     assert len(reports) == 5
-    assert cfg == {"command": "gram", "master_seed": 0}
+    # every flag verify takes, at its default, but --jobs
+    assert cfg == {
+        "command": "verify",
+        "interval": [0.0, 2.0],
+        "grid_points": 8192,
+        "epsilon_schedule": [0.08, 0.04, 0.02, 0.01, 0.005],
+        "replicates": 50_000,
+        "master_seed": 0,
+    }
     assert version
 
 
-def _forbid_gram_block(monkeypatch) -> list:
+def _forbid_verify_all(monkeypatch) -> list:
     calls = []
 
-    def block(config):
+    def suite(config):
         calls.append(config)
-        raise AssertionError("the block must not run")
+        raise AssertionError("the suite must not run")
 
-    monkeypatch.setitem(cli._REPORT_COMMANDS, "gram", block)
+    monkeypatch.setattr(cli, "verify_all", suite)
     return calls
 
 
@@ -588,9 +609,9 @@ def _assert_one_line_output_error(capsys) -> None:
 def test_cli_out_into_missing_directory_exits_two_before_any_work(
     tmp_path, monkeypatch, capsys
 ):
-    calls = _forbid_gram_block(monkeypatch)
+    calls = _forbid_verify_all(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
-    rc = main(["gram", "--out", str(out)])
+    rc = main(["verify", "--out", str(out)])
     assert rc == 2
     assert calls == []
     _assert_one_line_output_error(capsys)
@@ -599,24 +620,35 @@ def test_cli_out_into_missing_directory_exits_two_before_any_work(
 
 def test_cli_unwritable_out_exits_two(tmp_path, monkeypatch, capsys):
     # the directory exists, but the path itself is a directory
-    calls = _forbid_gram_block(monkeypatch)
-    rc = main(["gram", "--out", str(tmp_path)])
+    calls = _forbid_verify_all(monkeypatch)
+    rc = main(["verify", "--out", str(tmp_path)])
     assert rc == 2
     assert calls == []
     _assert_one_line_output_error(capsys)
 
 
+def test_cli_empty_out_exits_two_before_any_work(tmp_path, monkeypatch, capsys):
+    # "" resolves to the working directory, which cannot be renamed over
+    calls = _forbid_verify_all(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--out", ""]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"output error: --out '' is the directory {os.getcwd()}"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_out_in_unwritable_directory_exits_two_before_any_work(
     tmp_path, monkeypatch, capsys
 ):
-    calls = _forbid_gram_block(monkeypatch)
+    calls = _forbid_verify_all(monkeypatch)
     # permission bits do not bind every user, so deny the directory directly;
     # the output is renamed into it, so an existing writable file is refused too
     monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("old\n")
     for out in (new, old):
-        rc = main(["gram", "--out", str(out)])
+        rc = main(["verify", "--out", str(out)])
         assert rc == 2
         assert calls == []
         _assert_one_line_output_error(capsys)
@@ -719,12 +751,14 @@ def test_cli_localtime_table(tmp_path, capsys):
     assert table.rows[2][1] == 0.04
 
 
-def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, capsys):
-    rc = main(["spectral", "--reps", "50"])
+def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, monkeypatch, capsys):
+    ids = _verify_only(monkeypatch, "spectral")
+    rc = main(["verify", "--reps", "50"])
     captured = capsys.readouterr()
     assert rc == 1
     rows = list(csv.reader(io.StringIO(captured.out)))
     by_id = {r[0]: r[1] for r in rows[1:]}
+    assert list(by_id) == ids
     assert by_id["integrator-upper-bound-sweep"] == "fail"
     assert by_id["convolution-upper-bound-sweep"] == "pass"
     assert "first failing claim: integrator-upper-bound-sweep" in captured.err
@@ -843,14 +877,14 @@ def _command_output_digest(command: str, config: RunConfig) -> str:
     if command == "simulate":
         text = table_to_csv(cli._simulate_table(config))
     else:
-        reports = cli._REPORT_COMMANDS[command](config)
+        reports = cli.verify_all(config)
         for r in reports:
             r.runtime_ms = 0.0
         text = reports_to_csv(reports)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("command", ("simulate", "verify", "spectral", "gram", "moments"))
+@pytest.mark.parametrize("command", ("simulate", "verify"))
 def test_fields_without_a_flag_leave_the_command_output_unchanged(command):
     # localtime takes every flag; verify refuses a nonzero z rather than
     # ignoring it, so its z stays at 0

@@ -46,6 +46,11 @@ def test_perfbench_suite_trace_names_every_family(runner, tmp_path, capsys):
         assert runner.cli.main(argv) in (0, 1)
     finally:
         tracer.restore()
+    # one span per block: verify_all calls each block through its module attribute
+    blocks = [s["name"] for s in tracer.spans if s["name"].startswith("verify.")]
+    assert sorted(blocks) == sorted(
+        f"verify.{b}" for b in ("spectral", "gram", "moments", "covariance", "localtime")
+    )
     families = [s for s in tracer.spans if s["name"].startswith("mc.family.")]
     got = {s["name"]: s["replicates"] for s in families}
     assert len(got) == len(families)

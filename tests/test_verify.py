@@ -249,6 +249,26 @@ def test_nonzero_level_rejected_before_any_sampling(forbid_in_verify):
         localtime_reports(cfg)
 
 
+_CAUCHY = {"cauchy-monotone-bridge", "cauchy-monotone-heat-short", "cauchy-monotone-heat-long"}
+
+
+@pytest.mark.parametrize(
+    "schedule, empty",
+    (((0.08, 0.04), _CAUCHY), ((0.08,), _CAUCHY | {"second-moment-monotone"})),
+)
+def test_bound_claims_with_nothing_to_compare_report_insufficient_power(schedule, empty):
+    # two bandwidths give one Cauchy gap and so no pair of gaps, and one
+    # bandwidth gives no pair of second moments.  Only these rows are
+    # asserted: a sampled claim can fail on working code at 8 replicates.
+    cfg = RunConfig(replicates=8, grid_points=1024, epsilon_schedule=schedule, master_seed=5)
+    by_id = {r.claim_id: r for r in localtime_reports(cfg)}
+    for claim_id in empty:
+        assert by_id[claim_id].status == "insufficient-power", claim_id
+        assert by_id[claim_id].observed == ()
+    if "second-moment-monotone" not in empty:
+        assert by_id["second-moment-monotone"].status == "pass"
+
+
 def test_subcommand_blocks_partition_the_suite():
     cfg = RunConfig(replicates=2, grid_points=4096, master_seed=3)
     blocks = [
