@@ -198,6 +198,9 @@ def _out_problem(path: str | None) -> str | None:
         return f"no directory {out_dir} for --out"
     if os.path.isdir(resolved):
         return f"--out {path!r} is the directory {resolved}"
+    # realpath drops a trailing separator, which names a directory
+    if path.endswith(tuple(sep for sep in (os.sep, os.altsep) if sep)):
+        return f"--out {path!r} ends in a separator but names no directory"
     # the output is renamed into the directory; an existing file must
     # also be writable itself
     for target in (out_dir, resolved) if os.path.exists(resolved) else (out_dir,):

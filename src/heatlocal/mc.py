@@ -13,6 +13,10 @@ block form reads for a whole chunk in one call.  One ordered map yields
 the per-chunk power sums (numpy pairwise sums) in index order, and they
 are folded in that order; as the chunk boundaries never depend on the
 worker count, the aggregate is bit-identical for any ``jobs`` value.
+A pool is sent batches of consecutive whole chunks, largest first
+(guided self-scheduling), so cheap chunks do not each pay a dispatch;
+the batches only group chunks, so the bytes depend on neither the
+batching nor ``jobs``.
 
 Pool workers keep the BLAS thread count their parent fixed at import.
 Some task arithmetic reaches OpenBLAS: the stacked ``matmul`` products of
@@ -29,6 +33,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +47,10 @@ DEFAULT_EPSILON_SCHEDULE = (0.08, 0.04, 0.02, 0.01, 0.005)
 # fixed reduction granularity: a worker always handles whole chunks, and
 # the fold over chunks is ordered by index, never by completion
 CHUNK = 1024
+
+# most chunks one pool item carries: enough to spread the dispatch cost of
+# cheap chunks, few enough that a batch of raw blocks stays small
+CAP = 8
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,26 @@ def _chunk_power_sums(task, rows, master_seed: int, n: int, keep_raw: bool, star
     return start, sums, (block if keep_raw else None)
 
 
+def _batch_power_sums(chunk, starts):
+    """``chunk(start)`` for each chunk start of one batch, in order."""
+    return [chunk(start) for start in starts]
+
+
+def _guided_batches(starts, workers: int):
+    """Consecutive runs of ``starts`` for ``workers`` pool workers.
+
+    Guided self-scheduling: each batch takes 1 / (2 * workers) of the
+    chunks left, at most :data:`CAP` and at least one, so the batches
+    shrink to single chunks at the tail.
+    """
+    batches, i = [], 0
+    while i < len(starts):
+        size = max(1, min(CAP, (len(starts) - i) // (2 * workers)))
+        batches.append(starts[i : i + size])
+        i += size
+    return batches
+
+
 def run_replicates(
     task,
     config: RunConfig | None = None,
@@ -178,11 +207,13 @@ def run_replicates(
     picklable (a module-level function or a partial of one).  Its block
     form, if any, is the ``rows`` attribute of the function, found through
     a partial of keywords.  A ``config`` supplies replicates, master seed
-    and jobs; otherwise the keywords do.  Chunks come from builtin ``map``,
-    or from ``ProcessPoolExecutor.map`` in a pool; both yield in submission
-    order.  Task exceptions, of either form, surface as
+    and jobs; otherwise the keywords do.  Chunks come from builtin ``map``
+    over single chunks, or in a pool from ``ProcessPoolExecutor.map`` over
+    batches of whole chunks (:func:`_guided_batches`); both yield in
+    submission order, and the bytes depend on neither the batching nor
+    ``jobs``.  Task exceptions, of either form, surface as
     :class:`ReplicateFailure` carrying the replicate index, and cancel the
-    chunks still queued.
+    batches still queued.
     """
     if config is not None:
         replicates, master_seed, jobs = config.replicates, config.master_seed, config.jobs
@@ -194,10 +225,16 @@ def run_replicates(
     n = replicates
     starts = range(0, n, CHUNK)
     chunk = partial(_chunk_power_sums, task, _block_form(task), master_seed, n, return_raw)
-    pool = ProcessPoolExecutor(min(jobs, len(starts))) if jobs > 1 and len(starts) > 1 else None
+    workers = min(jobs, len(starts))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     total = raw = None
     with pool or contextlib.nullcontext():
-        for start, sums, block in (pool.map if pool else map)(chunk, starts):
+        if pool:
+            batches = _guided_batches(starts, workers)
+            results = chain.from_iterable(pool.map(partial(_batch_power_sums, chunk), batches))
+        else:
+            results = map(chunk, starts)
+        for start, sums, block in results:
             total = sums if total is None else total + sums
             if return_raw:  # copied into place, so no raw row is held twice
                 if raw is None:

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heatlocal import cli, verify
+from heatlocal import cli, mc, verify
 from heatlocal.cli import main
 from heatlocal.errors import ConfigError, ReplicateFailure
 from heatlocal.heat_model import (
@@ -268,6 +270,81 @@ def test_pooled_failure_cancels_the_queued_chunks(tmp_path):
     ran = {p.name for p in tmp_path.iterdir()}
     assert "chunk-0" in ran
     assert len(ran) < chunks
+
+
+def per_replicate_increments(seed):
+    # the Cholesky route without its block form, so the engine calls it once
+    # per replicate
+    return path_increment_replicate(seed, **_INCREMENTS)
+
+
+# counts at chunk boundaries, where batches begin and end, or anywhere
+_REPLICATE_COUNTS = st.one_of(
+    st.builds(lambda k, d: k * CHUNK + d, st.integers(1, 20), st.sampled_from((-1, 0, 1))),
+    st.integers(1, 20 * CHUNK + 1),
+)
+
+
+@pytest.mark.parametrize(
+    "route",
+    (partial(path_increment_replicate, **_INCREMENTS), per_replicate_increments),
+    ids=("block-form", "per-replicate"),
+)
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(replicates=_REPLICATE_COUNTS)
+@example(replicates=20 * CHUNK + 1)
+def test_bytes_depend_on_neither_batching_nor_jobs(route, replicates):
+    runs = [
+        run_replicates(route, replicates=replicates, master_seed=31, jobs=jobs, return_raw=True)
+        for jobs in (1, 2, 3)
+    ]
+    for field in ("raw", "mean", "stderr", "m2", "m3", "m4"):
+        serial, *pooled = (getattr(res, field).tobytes() for res in runs)
+        assert all(b == serial for b in pooled), field
+
+
+def test_guided_batches_partition_the_chunks_and_end_on_single_chunks():
+    for chunks in range(2, 200):
+        starts = range(0, chunks * CHUNK - 5, CHUNK)
+        for workers in range(2, min(chunks, 16) + 1):
+            batches = mc._guided_batches(starts, workers)
+            assert [start for batch in batches for start in batch] == list(starts)
+            assert all(1 <= len(batch) <= mc.CAP for batch in batches)
+            assert all(len(batch) == 1 for batch in batches[-workers:])
+    sizes = [len(batch) for batch in mc._guided_batches(range(0, 128 * CHUNK, CHUNK), 2)]
+    assert sizes == [8] * 13 + [6, 4, 3, 2, 2] + [1] * 7
+
+
+def test_pool_sends_cheap_chunks_in_few_items(monkeypatch):
+    items = []
+
+    class RecordingExecutor(mc.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(it) for it in iterables]
+            items.append(len(iterables[0]))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+    route = partial(path_increment_replicate, **_INCREMENTS)
+    pooled = run_replicates(route, replicates=128 * CHUNK, master_seed=0, jobs=2)
+    assert len(items) == 1 and items[0] <= 32
+    serial = run_replicates(route, replicates=128 * CHUNK, master_seed=0)
+    assert pooled.mean.tobytes() == serial.mean.tobytes()
+
+
+@pytest.mark.parametrize(
+    "task", (failing_task, failing_block_task), ids=("per-replicate", "block-form")
+)
+def test_failure_inside_a_pooled_batch_names_its_replicate(task):
+    # the second chunk of the first multi-chunk batch fails; a block form's
+    # failure is replayed one replicate at a time
+    n = 16 * CHUNK
+    first = next(b for b in mc._guided_batches(range(0, n, CHUNK), 2) if len(b) > 1)
+    at = first[1] + 7
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(partial(task, at=at), replicates=n, master_seed=0, jobs=2)
+    assert exc_info.value.replicate_index == at
+    assert isinstance(exc_info.value.__cause__, _RemoteTraceback)
 
 
 def test_bridge_mean_task_matches_quadrature_small_scale():
@@ -674,6 +751,23 @@ def test_cli_failed_write_keeps_the_old_file_and_leaves_no_temp_file(
     _assert_one_line_output_error(capsys)
     assert out.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    ((["verify"], "verify_all"), (_SMALL_SIMULATE, "_simulate_table")),
+    ids=("verify", "simulate"),
+)
+def test_cli_out_with_a_trailing_separator_exits_two_before_any_work(
+    argv, builder, tmp_path, monkeypatch, capsys
+):
+    # "newdir/" names a directory that is not there; it must not become a
+    # file called newdir
+    monkeypatch.setattr(cli, builder, no_sampling)
+    rc = main(argv + ["--out", str(tmp_path / "newdir") + os.sep])
+    assert rc == 2
+    _assert_one_line_output_error(capsys)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_out_replaces_a_file_with_a_plain_open_mode(tmp_path, capsys):
