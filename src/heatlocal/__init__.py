@@ -3,7 +3,7 @@
 Submodules:
 
 * ``errors``: the package's exception types, all under ``HeatLocalError``.
-* ``grids``: strictly increasing spatial evaluation grids.
+* ``grids``: the sheet simulator's evaluation points.
 * ``sampling``: seeded Gaussian sampling primitives (streams, jittered
   Cholesky, circulant embedding).
 * ``heat_model``: the stationary field covariance and two independent

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import re
 import shutil
 import sys
 import uuid
@@ -78,8 +79,14 @@ class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser, which refuses a flag it does not take itself.
 
     Left to the top-level parser, the refusal would print the top-level
-    usage, which does not list the subcommand's flags.
+    usage, which does not list the subcommand's flags.  A negative float
+    literal in any spelling is a value: argparse's own pattern reads -0.1
+    as a value but -1e-1 as a flag.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def parse_known_args(self, args, namespace):
         namespace, extras = super().parse_known_args(args, namespace)

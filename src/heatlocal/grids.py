@@ -1,8 +1,8 @@
 """Spatial grids.
 
 A :class:`SpatialGrid` is a strictly increasing set of points inside a fixed
-interval: the evaluation points of the sheet simulator and the partitions
-of the spectral form.  Sampled paths are plain arrays on uniform grids.
+interval: the evaluation points of the sheet simulator.  Sampled paths are
+plain arrays on uniform grids.
 """
 
 from __future__ import annotations
@@ -40,14 +40,3 @@ class SpatialGrid:
             raise ValueError("grid points must be strictly increasing")
         if pts[0] < lo - 1e-12 or pts[-1] > hi + 1e-12:
             raise ValueError("grid points fall outside the interval")
-
-    def is_uniform(self) -> bool:
-        d = np.diff(self.points)
-        if d.size == 0:
-            return True
-        return bool(np.max(np.abs(d - d[0])) <= 1e-9 * d[0])
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, n: int) -> "SpatialGrid":
-        return cls(np.linspace(lo, hi, n), (lo, hi))
-

@@ -160,10 +160,10 @@ class SheetOperator:
         pts = grid.points
         base = grid.interval[0]
         eval_pts = pts if pts[0] == base else np.concatenate(([base], pts))
-        self.delta = _TIME_CUTOFF
+        delta = _TIME_CUTOFF
 
         # time rows: uniform in rho = sqrt(1 - s), midpoint evaluation
-        rho = np.linspace(np.sqrt(self.delta), 1.0, n_time + 1)
+        rho = np.linspace(np.sqrt(delta), 1.0, n_time + 1)
         ds = rho[1:] ** 2 - rho[:-1] ** 2
         rho_mid = 0.5 * (rho[1:] + rho[:-1])
         t_mid = rho_mid**2  # time-to-observation of each row
@@ -179,7 +179,7 @@ class SheetOperator:
         # the Riemann-sum aliasing error of a row scales like
         # exp(-pi^2 t / dv^2), so dv <= sqrt(delta) keeps every row below
         # 1e-4 relative and the thin near-cutoff rows contribute ~1e-8
-        min_width = np.sqrt(self.delta)
+        min_width = np.sqrt(delta)
         if dv > min_width:
             raise CutoffTooCoarse(
                 f"spatial cell {dv:.4g} too wide for kernel width {min_width:.4g}"
@@ -193,18 +193,6 @@ class SheetOperator:
             gram += np.einsum("ik,jk->ij", block, block)
         self.gram = gram
         self.factor, self.jitter = jittered_cholesky(gram)
-
-    def sample_fields(self, master_seed: int, start: int, stop: int) -> np.ndarray:
-        """Undifferenced field values at the evaluation points (base first),
-        one row per replicate index in start..stop-1."""
-        z = normals_block(master_seed, start, stop, self.factor.shape[0])
-        # einsum rather than BLAS, as for G: the rows do not depend on the
-        # process's BLAS thread count
-        return np.einsum("ij,bj->bi", self.factor, z)
-
-    def field_variance(self) -> np.ndarray:
-        """Exact per-point variance of the discretised field (diagonal of G)."""
-        return np.diag(self.gram)
 
 
 @lru_cache(maxsize=8)
@@ -288,8 +276,10 @@ def sheet_increment_rows(
     the base gets exactly zero.
     """
     op = _sheet_operator_cached(tuple(points), tuple(interval))
-    field = op.sample_fields(master_seed, start, stop)
-    # the field leads with the base value, followed by the points
+    z = normals_block(master_seed, start, stop, op.factor.shape[0])
+    # einsum rather than BLAS, as for G: the rows do not depend on the
+    # process's BLAS thread count; the field leads with the base value
+    field = np.einsum("ij,bj->bi", op.factor, z)
     return field[:, -len(points) :] - field[:, :1]
 
 

@@ -372,11 +372,8 @@ def local_time_replicate(
     """One replicate for the local-time suite.
 
     Returns the schedule's V_eps values followed by the squared gaps of
-    consecutive pairs (paired on this single path).  The heat process is
-    :func:`heat_replicate` on the one interval.
+    consecutive pairs (paired on this single path).
     """
-    if process_tag == "heat":
-        return heat_replicate(seed, n, (interval,), z, schedule)
     require_resolvable(min(schedule), interval, n)
     return _local_time_block(path_values(process_tag, seed, n, interval), interval, z, schedule)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .grids import SpatialGrid
 from .heat_model import SQRT_PI, _gauss_legendre
 
 TWO_SQRT_PI = 2.0 * SQRT_PI
@@ -70,14 +69,6 @@ class StepFunction:
         """Jump of f at each breakpoint (left-to-right difference)."""
         padded = np.concatenate(([0.0], self.coefficients, [0.0]))
         return np.diff(padded)
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.breakpoints, u, side="right") - 1
-        inside = (idx >= 0) & (idx < self.coefficients.size) & (u <= self.breakpoints[-1])
-        out = np.zeros_like(u, dtype=float)
-        out[inside] = self.coefficients[np.clip(idx, 0, self.coefficients.size - 1)][inside]
-        return out
 
 
 def _panel_nodes(lo: float, hi: float, panel: float):
@@ -142,21 +133,17 @@ def quadratic_form_Q_spectral(f: StepFunction) -> float:
     return main + tail / np.pi
 
 
-def form_matrix(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+def form_matrix(length: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Q-Gram matrix of the cell indicators and the diagonal mass matrix.
 
-    Cells are the consecutive intervals of a uniform partition; entry
-    (k, l) of the first matrix is the Q-inner product of cells k and l,
-    computed as mass minus the smoothed cross terms on the shared
+    The cells are the ``cells`` equal intervals of [0, length], 1 to 256 of
+    them; entry (k, l) of the first matrix is the Q-inner product of cells
+    k and l, computed as mass minus the smoothed cross terms on the shared
     quadrature window.
     """
-    pts = grid.points
-    if pts.size < 2:
-        raise ValueError("need at least one cell")
-    if pts.size - 1 > 256:
-        raise ValueError("at most 256 cells supported")
-    if not grid.is_uniform():
-        raise ValueError("uniform partition required")
+    if not (1 <= cells <= 256 and length > 0.0):
+        raise ValueError(f"need 1 to 256 cells on a positive length, got {cells} on {length}")
+    pts = np.linspace(0.0, length, cells + 1)
     widths = np.diff(pts)
     nodes, weights = _panel_nodes(pts[0] - _WINDOW_PAD, pts[-1] + _WINDOW_PAD, _PANEL)
     # V[i, k] = (1_cell_k * p_1)(node_i)
@@ -168,16 +155,17 @@ def form_matrix(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
     return M - C, M
 
 
-def smallest_form_eigenvalue(grid: SpatialGrid) -> float:
+def smallest_form_eigenvalue(length: float, cells: int) -> float:
     """Smallest generalized eigenvalue of Q against the L2 mass matrix.
 
     Equals the minimum of Q(f)/||f||^2 over step functions on the
-    partition; decreases weakly in the cell count and in the interval
-    length, and stays above 1 - L/(2 sqrt(pi)) when that bound applies.
+    ``cells`` equal intervals of [0, length]; decreases weakly in the cell
+    count and in the length, and stays above 1 - L/(2 sqrt(pi)) when that
+    bound applies.
     """
     from scipy.linalg import eigh
 
-    Qm, M = form_matrix(grid)
+    Qm, M = form_matrix(length, cells)
     vals = eigh(Qm, M, eigvals_only=True)
     return float(vals[0])
 

@@ -247,14 +247,12 @@ def _dual_route(inputs: _Inputs):
 
 
 def _eigen_floor(inputs: _Inputs):
-    lam = smallest_form_eigenvalue(SpatialGrid.uniform(0.0, 1.0, 17))
+    lam = smallest_form_eigenvalue(1.0, 16)
     return lam - (1.0 - 1.0 / TWO_SQRT_PI), 1e-10
 
 
 def _eigen_monotone(inputs: _Inputs):
-    lams = [
-        smallest_form_eigenvalue(SpatialGrid.uniform(0.0, L, 17)) for L in (0.5, 1.0, 2.0, 3.0)
-    ]
+    lams = [smallest_form_eigenvalue(L, 16) for L in (0.5, 1.0, 2.0, 3.0)]
     return [a - b for a, b in zip(lams, lams[1:])], 1e-10
 
 
@@ -413,7 +411,7 @@ def _agreement(inputs: _Inputs):
 
 def _sheet_bias(inputs: _Inputs):
     op = build_sheet_operator(SpatialGrid(np.array(_AGREE_POINTS), (0.0, 2.0)))
-    deficits = covariance_R(0.0) - op.field_variance()
+    deficits = covariance_R(0.0) - np.diag(op.gram)
     bias = sheet_variance_bias()
     return tuple(float(d) for d in deficits), (bias,) * deficits.size, 1e-9
 

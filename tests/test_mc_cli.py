@@ -1,6 +1,7 @@
 """Monte Carlo engine determinism, codecs, config validation, CLI."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -821,6 +822,62 @@ def test_cli_json_is_byte_identical_across_jobs_and_records_provenance(tmp_path)
     assert texts[0] == texts[1]
     payload = json.loads(texts[0])
     assert payload["provenance"] == provenance()
+
+
+@st.composite
+def _table_argv(draw):
+    """A simulate or localtime run: process, interval, grid, schedule, replicates, z."""
+    command = draw(st.sampled_from(("simulate", "localtime")))
+    process = draw(st.sampled_from(mc.PROCESSES))
+    n = draw(st.integers(65, 1025))
+    # up to three chunks, so the pool folds chunks that finish in any order
+    reps = draw(st.one_of(st.integers(1, 2100), st.integers(2 * CHUNK + 1, 2100)))
+    argv = [command, "--process", process, "--grid", str(n), "--reps", str(reps),
+            "--seed", str(draw(st.integers(0, 2**64 - 1))), "--format", "json"]
+    lo, hi = 0.0, 1.0
+    if process == "heat":
+        lo = draw(st.floats(-3.0, 3.0))
+        hi = lo + draw(st.floats(0.1, 5.0))
+        argv += ["--interval", repr(lo), repr(hi)]
+    if command == "localtime":
+        # the smallest bandwidth 1 to 4 floors up; each larger one is twice
+        # the next (dyadic) or a drawn multiple of it
+        eps = [bandwidth_floor(hi - lo, n) * draw(st.floats(1.0, 4.0))]
+        dyadic = draw(st.booleans())
+        for _ in range(draw(st.integers(0, 3))):
+            eps.insert(0, eps[0] * (2.0 if dyadic else draw(st.floats(1.1, 4.0))))
+        argv += ["--eps", ",".join(map(repr, eps)), "--z", repr(draw(st.floats(-1.0, 1.0)))]
+    return argv
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(argv=_table_argv())
+def test_cli_table_json_is_byte_identical_at_one_and_two_jobs(argv):
+    texts = []
+    for jobs in (1, 2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv + ["--jobs", str(jobs)]) == 0, err.getvalue()
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("spelling", ("-1e-1", "-1E-1", "-0.01e+1", "-0.01E+1"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["localtime", "--process", "bridge", "--grid", "64", "--eps", "0.5", "--z", "{}"],
+        ["simulate", "--grid", "64", "--interval", "{}", "2"],
+    ),
+    ids=("z", "interval"),
+)
+def test_cli_reads_a_negative_float_in_exponent_notation_as_a_value(argv, spelling, capsys):
+    texts = []
+    for value in ("-0.1", spelling):
+        run = [value if a == "{}" else a for a in argv] + ["--reps", "4", "--format", "json"]
+        assert main(run) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
 
 
 def test_cli_localtime_table(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heatlocal.grids import SpatialGrid
 from heatlocal.spectral import (
     StepFunction,
     TWO_SQRT_PI,
@@ -75,27 +74,34 @@ def test_sandwich_bounds_on_random_functions(seed):
 
 
 def test_eigenvalue_floor_on_unit_interval():
-    lam = smallest_form_eigenvalue(SpatialGrid.uniform(0.0, 1.0, 17))
+    lam = smallest_form_eigenvalue(1.0, 16)
     assert lam == pytest.approx(0.7290127585512421, rel=1e-10)
     assert lam >= 1.0 - 1.0 / TWO_SQRT_PI
 
 
 def test_eigenvalue_decreases_with_interval_length():
-    lams = [
-        smallest_form_eigenvalue(SpatialGrid.uniform(0.0, L, 17))
-        for L in (0.5, 1.0, 2.0, 3.0)
-    ]
+    lams = [smallest_form_eigenvalue(L, 16) for L in (0.5, 1.0, 2.0, 3.0)]
     assert lams[0] == pytest.approx(0.8604007842728157, rel=1e-10)
     assert lams[3] == pytest.approx(0.36245918534272187, rel=1e-10)
     assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
 def test_form_matrix_mass_matrix_is_cell_widths():
-    grid = SpatialGrid.uniform(0.0, 1.0, 9)
-    qmat, mass = form_matrix(grid)
+    qmat, mass = form_matrix(1.0, 8)
     assert qmat.shape == (8, 8)
     assert np.allclose(np.diag(mass), 0.125)
     assert np.allclose(qmat, qmat.T)
+
+
+@pytest.mark.parametrize("form", [form_matrix, smallest_form_eigenvalue])
+def test_form_takes_one_to_256_cells(form):
+    for length, cells in ((1.0, 0), (1.0, 257), (0.0, 8)):
+        with pytest.raises(ValueError, match="1 to 256 cells on a positive length"):
+            form(length, cells)
+    form(1.0, 1)
+    form(1.0, 256)
+    # one cell: the Rayleigh quotient of the unit indicator
+    assert smallest_form_eigenvalue(1.0, 1) == pytest.approx(Q_UNIT, abs=1e-12)
 
 
 def test_step_function_validation():
