@@ -80,13 +80,15 @@ class _CommandParser(argparse.ArgumentParser):
 
     Left to the top-level parser, the refusal would print the top-level
     usage, which does not list the subcommand's flags.  A negative float
-    literal in any spelling is a value: argparse's own pattern reads -0.1
-    as a value but -1e-1 as a flag.
+    literal in any spelling, -inf and -nan among them, is a value:
+    argparse's own pattern reads -0.1 as a value but -1e-1 as a flag.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def parse_known_args(self, args, namespace):
         namespace, extras = super().parse_known_args(args, namespace)

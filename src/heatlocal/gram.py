@@ -11,8 +11,7 @@ The Dirichlet-type simplex integral
     int_{0 < v_1 < ... < v_k < 1} dv / sqrt(v_1 (v_2 - v_1) ... (1 - v_k))
 
 ties the indicator Gram determinants to the moments of the bridge local
-time; it is evaluated by weighted quadrature for k <= 2 and by importance
-sampling for k = 3.
+time; for k = 1..3 it is evaluated by one nested weighted quadrature rule.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from .errors import (
     BasisNotOrthonormal,
@@ -29,7 +28,7 @@ from .errors import (
     OrderViolation,
     UnsupportedOrder,
 )
-from .sampling import SeedSpec
+
 
 def gram_det(vectors) -> float:
     """Gram determinant of the rows, as the squared product of |diag R| of a QR.
@@ -170,50 +169,30 @@ def probe_basis_extension_ratio(
     return float(best)
 
 
-def _quad_beta_half(lo: float, hi: float) -> float:
-    # int_lo^hi ((x-lo)(hi-x))^{-1/2} dx, evaluated numerically
-    val, _ = integrate.quad(lambda x: 1.0, lo, hi, weight="alg", wvar=(-0.5, -0.5))
-    return val
+def _ordered_integral(k: int, lo: float, hi: float) -> tuple[float, float]:
+    """int over lo < v_1 < ... < v_k < hi of [(v_1-lo)(v_2-v_1)...(hi-v_k)]^{-1/2}.
+
+    Returns (value, abserr).  One algebraic-weight QUADPACK rule per order
+    (Piessens et al. 1983): order 1 weighs both ends; above it the outer
+    variable v_k carries (hi - v_k)^{-1/2} and the integrand is the order
+    k - 1 integral on (lo, v_k).  The error is the outer rule's estimate.
+    """
+    if k == 1:
+        return integrate.quad(lambda x: 1.0, lo, hi, weight="alg", wvar=(-0.5, -0.5))
+    inner = lambda v: _ordered_integral(k - 1, lo, v)[0]
+    return integrate.quad(inner, lo, hi, weight="alg", wvar=(0.0, -0.5), limit=200)
 
 
-def dirichlet_simplex_integral(k: int, samples: int = 10_000_000) -> tuple[float, float]:
+def dirichlet_simplex_integral(k: int) -> tuple[float, float]:
     """Simplex integral with inverse-root gap weights; returns (value, error).
 
-    k <= 2 uses iterated adaptive quadrature with algebraic endpoint
-    weights (error is the quadrature estimate); k = 3 uses importance
-    sampling from a Dirichlet(3/4, 3/4, 3/4, 3/4) proposal, which makes the
-    weight square-integrable, with the reported error one standard error
-    of the mean.  Orders outside 1..3 raise UnsupportedOrder.
+    One nested weighted quadrature rule serves k = 1..3; the error is the
+    outer rule's estimate.  Orders outside 1..3 raise UnsupportedOrder.
     """
     if k not in (1, 2, 3):
         raise UnsupportedOrder(f"order {k} outside 1..3")
-    if k == 1:
-        val, err = integrate.quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(-0.5, -0.5))
-        return float(val), float(err)
-    if k == 2:
-        val, err = integrate.quad(
-            lambda v2: _quad_beta_half(0.0, v2), 0.0, 1.0, weight="alg", wvar=(0.0, -0.5), limit=200
-        )
-        return float(val), float(err)
-
-    # importance sampling on the increment simplex
-    alpha = np.full(k + 1, 0.75)
-    log_b = float((k + 1) * special.gammaln(0.75) - special.gammaln(0.75 * (k + 1)))
-    rng = SeedSpec(20_240_817).rng()  # a fixed stream: the value is a constant
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 2_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        w = rng.dirichlet(alpha, size=m)
-        x = np.exp(log_b - 0.25 * np.sum(np.log(w), axis=1))
-        total += float(np.sum(x))
-        total_sq += float(np.sum(x * x))
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / samples))
+    val, err = _ordered_integral(k, 0.0, 1.0)
+    return float(val), float(err)
 
 
 def bridge_moment_from_simplex(k: int, simplex_value: float) -> float:
@@ -249,20 +228,11 @@ def check_simplex_partition() -> tuple[float, float]:
     h = _sorted_gap_integrand(a, s1)
 
     # both before s1: [(v1-a)(v2-v1)(s1-v2)]^{-1/2}
-    def block_before() -> float:
-        val, _ = integrate.quad(
-            lambda v2: _quad_beta_half(a, v2),
-            a,
-            s1,
-            weight="alg",
-            wvar=(0.0, -0.5),
-            limit=200,
-        )
-        return val
+    before = _ordered_integral(2, a, s1)[0]
 
     # straddling: [(v1-a)(s1-v1)]^{-1/2} (v2-s1)^{-1/2}
     def block_straddle() -> float:
-        inner = _quad_beta_half(a, s1)
+        inner = _ordered_integral(1, a, s1)[0]
         val, _ = integrate.quad(
             lambda v2: inner, s1, b, weight="alg", wvar=(-0.5, 0.0), limit=200
         )
@@ -270,10 +240,10 @@ def check_simplex_partition() -> tuple[float, float]:
 
     # both after s1: (s1-a)^{-1/2} [(v1-s1)(v2-v1)]^{-1/2}
     def block_after() -> float:
-        val, _ = integrate.quad(lambda v2: _quad_beta_half(s1, v2), s1, b, limit=200)
+        val, _ = integrate.quad(lambda v2: _ordered_integral(1, s1, v2)[0], s1, b, limit=200)
         return val / np.sqrt(s1 - a)
 
-    blocks = block_before() + block_straddle() + block_after()
+    blocks = before + block_straddle() + block_after()
 
     def whole_inner(v2: float) -> float:
         pts = [s1] if s1 < v2 else None

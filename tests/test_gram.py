@@ -143,12 +143,9 @@ def test_simplex_quadrature_matches_closed_form():
     assert v1 == pytest.approx(np.pi, rel=1e-9)
     v2, _ = dirichlet_simplex_integral(2)
     assert v2 == pytest.approx(2.0 * np.pi, rel=1e-6)
-
-
-def test_simplex_monte_carlo_within_errors():
-    v3, err = dirichlet_simplex_integral(3, samples=400_000)
-    assert err > 0.0
-    assert abs(v3 - np.pi**2) < 4.0 * err
+    v3, err = dirichlet_simplex_integral(3)
+    assert v3 == pytest.approx(simplex_integral_closed_form(3), rel=1e-9)
+    assert 0.0 < err < 1e-6
 
 
 def test_bridge_moment_scaling_chain():

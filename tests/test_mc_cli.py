@@ -958,6 +958,10 @@ def test_cli_parent_memory_error_exits_two(monkeypatch, capsys):
         ["localtime", "--process", "bridge", "--eps", "nan"],
         ["localtime", "--eps", "inf,0.5"],
         ["simulate", "--interval", "0", "inf"],
+        ["localtime", "--z", "-inf"],
+        ["localtime", "--z", "-Infinity"],
+        ["localtime", "--z", "-NaN"],
+        ["simulate", "--interval", "-INF", "1"],
     ),
 )
 def test_cli_non_finite_input_is_a_configuration_error(argv, monkeypatch, capsys):

@@ -61,3 +61,6 @@ def test_perfbench_suite_trace_names_every_family(runner, tmp_path, capsys):
         "mc.family.sim-path": 32,
         "mc.family.sim-sheet": 2,
     }
+    # the span name reads the order from the first positional argument
+    simplex = [s["name"] for s in tracer.spans if s["name"].startswith("gram.simplex_")]
+    assert sorted(simplex) == ["gram.simplex_k1", "gram.simplex_k2", "gram.simplex_k3"]

@@ -77,6 +77,7 @@ DETERMINISTIC_CLAIMS = frozenset(
         "simplex-partition-additivity",
         "bridge-moment-simplex-k1",
         "bridge-moment-simplex-k2",
+        "bridge-moment-simplex-k3",
         "conditional-moment-identity",
         "levy-density-normalization",
         "covariance-closed-form",
@@ -197,6 +198,19 @@ def test_scaled_simplex_moments_flip_only_the_simplex_claims(monkeypatch):
 
     failing = _failing_claims(moment_reports, monkeypatch, "bridge_moment_from_simplex", scaled)
     assert failing == {f"bridge-moment-simplex-k{k}" for k in (1, 2, 3)}
+
+
+def test_moment_rows_do_not_depend_on_the_replicates_or_the_seed():
+    # the simplex integrals, k = 3 included, are quadratures, not samples
+    rows = [
+        [
+            (r.claim_id, r.observed, r.expected, r.standard_error)
+            for r in moment_reports(RunConfig(replicates=reps, grid_points=4096, master_seed=seed))
+        ]
+        for reps, seed in ((1, 7), (4000, 42))
+    ]
+    assert [row[0] for row in rows[0]] == list(CLAIM_ORDER[12:17])
+    assert rows[0] == rows[1]
 
 
 def _failing_localtime_claims(monkeypatch, name, corrupted) -> set:
