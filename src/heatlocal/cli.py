@@ -137,7 +137,9 @@ def _moments(res, i: int) -> tuple[float, ...]:
 
 def _simulate_table(config: RunConfig) -> AggregateTable:
     interval = process_interval(config.process, config.interval)
-    task = partial(path_values, config.process, n=config.grid_points, interval=interval)
+    task = partial(
+        path_values, process_tag=config.process, n=config.grid_points, interval=interval
+    )
     res = run_replicates(task, config)
     points = np.linspace(interval[0], interval[1], config.grid_points)
     rows = tuple((float(points[i]), *_moments(res, i)) for i in range(config.grid_points))

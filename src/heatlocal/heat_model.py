@@ -16,8 +16,8 @@ Cholesky route factors the increment covariance built from R.  The sheet
 route never uses R: it discretises the driving sheet, sums the
 heat-kernel Riemann sums into the exact covariance K K^T of the
 discretised field, and samples that law through its Cholesky factor.
-The circulant-embedding weights behind the uniform-grid sampler
-``local_time.heat_paths`` live here too.
+The circulant-embedding weights behind the uniform-grid heat paths of
+:mod:`heatlocal.local_time` live here too.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from scipy import special
 
 from .errors import CutoffTooCoarse, NonPositiveTime
 from .grids import SpatialGrid
+from .mc import one_row
 from .sampling import SeedSpec, circulant_embedding_weights, jittered_cholesky, normals_block
 
 SQRT_PI = np.sqrt(np.pi)
@@ -204,12 +205,6 @@ def _increment_cholesky(points: tuple, interval: tuple) -> np.ndarray:
     return L
 
 
-def _one_row(rows, seed: SeedSpec, *args) -> np.ndarray:
-    """The replicate of ``seed``: the one-row block at its index."""
-    i = int(seed.replicate_index)
-    return rows(seed.master_seed, i, i + 1, *args)[0]
-
-
 def path_increment_rows(
     master_seed: int, start: int, stop: int, points: tuple, interval: tuple
 ) -> np.ndarray:
@@ -227,7 +222,7 @@ def path_increment_rows(
 
 def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
     """One Cholesky-route increment sample as a Monte Carlo task."""
-    return _one_row(path_increment_rows, seed, points, interval)
+    return one_row(path_increment_rows, seed, points, interval)
 
 
 def weighted_increment_square_rows(
@@ -251,7 +246,7 @@ def weighted_increment_square(
     seed: SeedSpec, points: tuple, coeffs: tuple, interval: tuple
 ) -> np.ndarray:
     """Squared weighted increment sum of one field path (MC task)."""
-    return _one_row(weighted_increment_square_rows, seed, points, coeffs, interval)
+    return one_row(weighted_increment_square_rows, seed, points, coeffs, interval)
 
 
 def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:
@@ -285,7 +280,7 @@ def sheet_increment_rows(
 
 def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
     """One sheet-route increment sample as a Monte Carlo task."""
-    return _one_row(sheet_increment_rows, seed, points, interval)
+    return one_row(sheet_increment_rows, seed, points, interval)
 
 
 # the block forms :func:`heatlocal.mc.run_replicates` calls once per chunk

@@ -10,6 +10,10 @@ The Monte Carlo tasks share their draws where claims allow it: one motion
 path serves the bridge and the motion claims, and one set of normals
 drives the heat field on several intervals.  Each interval's or
 process's numbers are those of a task of its own on the same seed.
+Every task is the one-row call of a block form that works through a
+range of replicates in batches of :data:`BATCH` paths, so a chunk runs
+one inverse FFT or cumulative sum per batch, and each row keeps the
+bytes it has alone.
 
 Moment references:
 
@@ -36,7 +40,8 @@ from .errors import (
     UnsupportedOrder,
 )
 from .heat_model import _embedding_weights, covariance_R
-from .sampling import SeedSpec, _half_spectrum, _weighted_synthesis
+from .mc import one_row
+from .sampling import SeedSpec, _half_spectrum, _weighted_synthesis, path_normals
 
 
 def bandwidth_floor(span: float, n: int) -> float:
@@ -227,7 +232,12 @@ def expected_motion_local_time_in_window(eps: float, window: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast per-replicate path generators for the Monte Carlo engine
+# path generators and block forms for the Monte Carlo engine
+
+# paths per batch in the block forms: each batch draws its rows into
+# buffers kept for the whole range, and runs one inverse FFT, one
+# cumulative sum and one smoothing pass over them
+BATCH = 8
 
 
 @lru_cache(maxsize=16)
@@ -243,80 +253,122 @@ def _trapezoid_weights(lo: float, hi: float, n: int) -> np.ndarray:
     return w
 
 
-def motion_values(seed: SeedSpec, n: int) -> np.ndarray:
-    """w on the uniform n-point grid of [0, 1] by exact increments."""
+def _motion_batches(master_seed: int, start: int, stop: int, n: int):
+    """w on the uniform n-point grid of [0, 1] by exact increments, for indices start..stop-1.
+
+    Yields one (rows, n) array per batch of :data:`BATCH` indices; row r
+    is the path of ``SeedSpec(master_seed, first + r)``.
+    """
     pts = _uniform_points(0.0, 1.0, n)
     dt = pts[1] - pts[0]
-    z = seed.normals(n - 1)
-    w = np.empty(n)
-    w[0] = 0.0
-    np.cumsum(z * np.sqrt(dt), out=w[1:])
-    return w
+    normals = np.empty((min(BATCH, stop - start), n - 1))
+    for first in range(start, stop, BATCH):
+        z = path_normals(master_seed, first, normals[: stop - first])
+        np.multiply(z, np.sqrt(dt), out=z)
+        w = np.empty((len(z), n))
+        w[:, 0] = 0.0
+        np.cumsum(z, axis=1, out=w[:, 1:])
+        yield w
 
 
 def _pin_to_bridge(w: np.ndarray) -> np.ndarray:
     """w(t) - t w(1) on the uniform grid of [0, 1]: a bridge independent of w(1)."""
-    return w - _uniform_points(0.0, 1.0, w.size) * w[-1]
+    return w - _uniform_points(0.0, 1.0, w.shape[-1]) * w[..., -1:]
 
 
-def bridge_values(seed: SeedSpec, n: int) -> np.ndarray:
-    """w(t) - t w(1) on the uniform n-point grid of [0, 1]; exact in law."""
-    return _pin_to_bridge(motion_values(seed, n))
-
-
-def heat_paths(
-    seed: SeedSpec, n: int, intervals: tuple[tuple[float, float], ...]
-) -> list[np.ndarray]:
+def _heat_batches(
+    master_seed: int, start: int, stop: int, n: int, intervals: tuple[tuple[float, float], ...]
+):
     """Increment fields on the uniform n-point grids of several intervals.
 
-    Each is exact in law.  The embedding length depends on n only, so one
-    half spectrum of normals drives every interval through its own weights
-    and inverse FFT: the paths are dependent, and each is the path its
-    interval alone would get from the seed.
+    Each is exact in law.  Yields, per batch of :data:`BATCH` indices from
+    ``start``, one (rows, n) array per interval.  The embedding length
+    depends on n only, so one half spectrum of normals drives every
+    interval through its own weights and inverse FFT: the paths are
+    dependent, and each is the path its interval alone would get from the
+    seed.
     """
     weights = [_embedding_weights(n, (hi - lo) / (n - 1)) for lo, hi in intervals]
-    y = _half_spectrum(seed.normals(weights[0].size))
-    return [x - x[0] for x in (_weighted_synthesis(w, y, n) for w in weights)]
+    m = weights[0].size
+    half = np.empty((min(BATCH, stop - start), m // 2 + 1), dtype=complex)
+    spectrum = np.empty_like(half)
+    # the normals are drawn into the spectrum's memory: packed into the
+    # half spectrum, they are dead before the first weighting overwrites them
+    normals = spectrum.view(float)[:, :m]
+    for first in range(start, stop, BATCH):
+        rows = min(BATCH, stop - first)
+        y = _half_spectrum(path_normals(master_seed, first, normals[:rows]), half[:rows])
+        paths = (_weighted_synthesis(w, y, n, spectrum[:rows]) for w in weights)
+        yield [x - x[:, :1] for x in paths]
 
 
-def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
-    """Increment field on the uniform n-point grid of [lo, hi], exact in law."""
-    return heat_paths(seed, n, ((lo, hi),))[0]
+def _path_batches(
+    process_tag: str, master_seed: int, start: int, stop: int, n: int, interval: tuple
+):
+    """One process's (rows, n) path arrays for indices start..stop-1, a batch at a time."""
+    if process_tag == "bridge":
+        return map(_pin_to_bridge, _motion_batches(master_seed, start, stop, n))
+    if process_tag == "motion":
+        return _motion_batches(master_seed, start, stop, n)
+    if process_tag == "heat":
+        return (x for x, in _heat_batches(master_seed, start, stop, n, (interval,)))
+    raise UnknownProcess(f"unknown process tag {process_tag!r}")
+
+
+def path_rows(
+    master_seed: int, start: int, stop: int, process_tag: str, n: int, interval: tuple
+) -> np.ndarray:
+    """One process's paths on the uniform n-point grid, one row per index in start..stop-1."""
+    return np.concatenate(list(_path_batches(process_tag, master_seed, start, stop, n, interval)))
 
 
 def path_values(
     process_tag: str, seed: SeedSpec, n: int, interval: tuple[float, float]
 ) -> np.ndarray:
-    if process_tag == "bridge":
-        return bridge_values(seed, n)
-    if process_tag == "motion":
-        return motion_values(seed, n)
-    if process_tag == "heat":
-        return heat_values(seed, n, interval[0], interval[1])
-    raise UnknownProcess(f"unknown process tag {process_tag!r}")
+    """The path of one seed: the one-row :func:`path_rows`."""
+    return one_row(path_rows, seed, process_tag, n, interval)
+
+
+def motion_values(seed: SeedSpec, n: int) -> np.ndarray:
+    """w on the uniform n-point grid of [0, 1] by exact increments."""
+    return path_values("motion", seed, n, (0.0, 1.0))
+
+
+def bridge_values(seed: SeedSpec, n: int) -> np.ndarray:
+    """w(t) - t w(1) on the uniform n-point grid of [0, 1]; exact in law."""
+    return path_values("bridge", seed, n, (0.0, 1.0))
+
+
+def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
+    """Increment field on the uniform n-point grid of [lo, hi], exact in law."""
+    return path_values("heat", seed, n, (lo, hi))
 
 
 def smoothed_values(
     values: np.ndarray, trap_w: np.ndarray, z: float, schedule: tuple[float, ...]
 ) -> np.ndarray:
-    """V_eps for every eps in the schedule, sharing one path.
+    """V_eps for every eps in the schedule, sharing one path or each row of a block.
 
-    V_eps = sum(trap_w exp(-(x - z)^2 / 2 eps)) / sqrt(2 pi eps).  When eps
-    is exactly half the previous bandwidth its kernel is the square of the
-    previous kernel, so a dyadic schedule pays for one exp; any other step
-    computes its exp afresh.
+    V_eps = sum(trap_w exp(-(x - z)^2 / 2 eps)) / sqrt(2 pi eps), summed
+    along the last axis, so a (rows, n) block of paths gives a (rows,
+    len(schedule)) array whose rows are those of the paths one at a time.
+    When eps is exactly half the previous bandwidth its kernel is the
+    square of the previous kernel, so a dyadic schedule pays for one exp;
+    any other step computes its exp afresh.
     """
-    neg_y2 = -((values - z) ** 2)
-    kernel = np.empty_like(neg_y2)
-    weighted = np.empty_like(neg_y2)
-    out = np.empty(len(schedule))
+    y2 = np.subtract(values, z)
+    np.square(y2, out=y2)
+    kernel = np.empty_like(y2)
+    weighted = np.empty_like(y2)
+    out = np.empty(y2.shape[:-1] + (len(schedule),))
     for i, eps in enumerate(schedule):
         if i > 0 and schedule[i - 1] == 2.0 * eps:
             np.multiply(kernel, kernel, out=kernel)
         else:
-            np.exp(np.divide(neg_y2, 2.0 * eps, out=kernel), out=kernel)
+            # y2 / (-2 eps) has the bits of -y2 / (2 eps): IEEE division is sign-symmetric
+            np.exp(np.divide(y2, -2.0 * eps, out=kernel), out=kernel)
         np.multiply(trap_w, kernel, out=weighted)
-        out[i] = float(np.sum(weighted) / np.sqrt(2.0 * np.pi * eps))
+        out[..., i] = np.sum(weighted, axis=-1) / np.sqrt(2.0 * np.pi * eps)
     return out
 
 
@@ -334,9 +386,35 @@ def require_resolvable(bandwidth: float, interval: tuple[float, float], n: int) 
 def _local_time_block(
     values: np.ndarray, interval: tuple[float, float], z: float, schedule: tuple[float, ...]
 ) -> np.ndarray:
-    """The schedule's V_eps values of one path, then their squared gaps."""
-    v = smoothed_values(values, _trapezoid_weights(*interval, values.size), z, schedule)
-    return np.concatenate([v, np.diff(v) ** 2])
+    """The schedule's V_eps values of each path row, then their squared gaps."""
+    trap_w = _trapezoid_weights(*interval, values.shape[-1])
+    v = smoothed_values(values, trap_w, z, schedule)
+    return np.concatenate([v, np.diff(v, axis=-1) ** 2], axis=-1)
+
+
+def heat_rows(
+    master_seed: int,
+    start: int,
+    stop: int,
+    n: int,
+    intervals: tuple[tuple[float, float], ...],
+    z: float,
+    schedule: tuple[float, ...],
+) -> np.ndarray:
+    """Heat draws for several intervals, one row per replicate index in start..stop-1.
+
+    For each interval in turn a row holds the layout of
+    :func:`local_time_replicate`: the schedule's V_eps values, then their
+    squared gaps.  Every interval must resolve the schedule before
+    anything is drawn.
+    """
+    for interval in intervals:
+        require_resolvable(min(schedule), interval, n)
+    blocks = (
+        [_local_time_block(x, iv, z, schedule) for x, iv in zip(paths, intervals)]
+        for paths in _heat_batches(master_seed, start, stop, n, intervals)
+    )
+    return np.concatenate([np.concatenate(b, axis=1) for b in blocks])
 
 
 def heat_replicate(
@@ -346,19 +424,28 @@ def heat_replicate(
     z: float,
     schedule: tuple[float, ...],
 ) -> np.ndarray:
-    """One heat draw, through :func:`heat_paths`, for several intervals.
+    """One heat draw for several intervals: the one-row :func:`heat_rows`."""
+    return one_row(heat_rows, seed, n, intervals, z, schedule)
 
-    For each interval in turn the output holds the layout of
-    :func:`local_time_replicate`: the schedule's V_eps values, then their
-    squared gaps.  Every interval must resolve the schedule before
-    anything is drawn.
+
+def local_time_rows(
+    master_seed: int,
+    start: int,
+    stop: int,
+    process_tag: str,
+    n: int,
+    interval: tuple[float, float],
+    z: float,
+    schedule: tuple[float, ...],
+) -> np.ndarray:
+    """Local-time rows of one process, one per replicate index in start..stop-1.
+
+    A row holds the schedule's V_eps values followed by the squared gaps
+    of consecutive pairs (paired on the row's single path).
     """
-    for interval in intervals:
-        require_resolvable(min(schedule), interval, n)
-    paths = heat_paths(seed, n, intervals)
-    return np.concatenate(
-        [_local_time_block(x, iv, z, schedule) for x, iv in zip(paths, intervals)]
-    )
+    require_resolvable(min(schedule), interval, n)
+    batches = _path_batches(process_tag, master_seed, start, stop, n, interval)
+    return np.concatenate([_local_time_block(x, interval, z, schedule) for x in batches])
 
 
 def local_time_replicate(
@@ -369,28 +456,46 @@ def local_time_replicate(
     z: float,
     schedule: tuple[float, ...],
 ) -> np.ndarray:
-    """One replicate for the local-time suite.
+    """One replicate for the local-time suite: the one-row :func:`local_time_rows`."""
+    return one_row(local_time_rows, seed, process_tag, n, interval, z, schedule)
 
-    Returns the schedule's V_eps values followed by the squared gaps of
-    consecutive pairs (paired on this single path).
+
+def bridge_motion_rows(
+    master_seed: int,
+    start: int,
+    stop: int,
+    n: int,
+    z: float,
+    schedule: tuple[float, ...],
+    extra_eps: float,
+) -> np.ndarray:
+    """Motion paths w on [0, 1] serving the bridge and the motion claims, one row per index.
+
+    The bridge is w(t) - t w(1), exactly as :func:`bridge_values` builds it
+    from the same seed.  A row holds the bridge's schedule V_eps values
+    and squared gaps (the layout of :func:`local_time_replicate`), then V
+    of w at extra_eps, then w(1).
     """
-    require_resolvable(min(schedule), interval, n)
-    return _local_time_block(path_values(process_tag, seed, n, interval), interval, z, schedule)
+    for eps in (min(schedule), extra_eps):
+        require_resolvable(eps, (0.0, 1.0), n)
+
+    def block(w):
+        bridge = _local_time_block(_pin_to_bridge(w), (0.0, 1.0), z, schedule)
+        v_motion = smoothed_values(w, _trapezoid_weights(0.0, 1.0, n), z, (extra_eps,))
+        return np.concatenate([bridge, v_motion, w[:, -1:]], axis=1)
+
+    return np.concatenate([block(w) for w in _motion_batches(master_seed, start, stop, n)])
 
 
 def bridge_motion_replicate(
     seed: SeedSpec, n: int, z: float, schedule: tuple[float, ...], extra_eps: float
 ) -> np.ndarray:
-    """One motion path w on [0, 1] serving the bridge and the motion claims.
+    """One motion path for the bridge and motion claims: the one-row :func:`bridge_motion_rows`."""
+    return one_row(bridge_motion_rows, seed, n, z, schedule, extra_eps)
 
-    The bridge is w(t) - t w(1), exactly as :func:`bridge_values` builds it
-    from the same seed.  Returns the bridge's schedule V_eps values and
-    squared gaps (the layout of :func:`local_time_replicate`), then V of w
-    at extra_eps, then w(1).
-    """
-    for eps in (min(schedule), extra_eps):
-        require_resolvable(eps, (0.0, 1.0), n)
-    w = motion_values(seed, n)
-    bridge = _local_time_block(_pin_to_bridge(w), (0.0, 1.0), z, schedule)
-    v_motion = smoothed_values(w, _trapezoid_weights(0.0, 1.0, n), z, (extra_eps,))
-    return np.concatenate([bridge, v_motion, w[-1:]])
+
+# the block forms :func:`heatlocal.mc.run_replicates` calls once per chunk
+path_values.rows = path_rows
+heat_replicate.rows = heat_rows
+local_time_replicate.rows = local_time_rows
+bridge_motion_replicate.rows = bridge_motion_rows

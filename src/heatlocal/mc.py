@@ -6,8 +6,11 @@ callable, ``task(SeedSpec) -> 1-d array``.  It may also have a block form,
 ``rows(master_seed, start, stop, **keywords) -> (stop - start, d) array``,
 whose row r has the bytes of ``task(SeedSpec(master_seed, start + r))``;
 the engine then calls the block form once per chunk instead of the task
-once per replicate.  The local-time tasks draw from the path stream of
-their SeedSpec and have no block form; the covariance-route tasks draw
+once per replicate.  Every task in the package has one.  The local-time
+tasks draw each row from the path stream of its SeedSpec
+(:func:`heatlocal.sampling.path_normals`) and work through a chunk in
+batches of :data:`heatlocal.local_time.BATCH` paths, with one inverse
+FFT or cumulative sum per batch; the covariance-route tasks draw
 fixed-width rows (:func:`heatlocal.sampling.normals_block`), which a
 block form reads for a whole chunk in one call.  One ordered map yields
 the per-chunk power sums (numpy pairwise sums) in index order, and they
@@ -127,6 +130,12 @@ def _block_form(task):
         func, keywords = task, {}
     rows = getattr(func, "rows", None)
     return None if rows is None else partial(rows, **keywords)
+
+
+def one_row(rows, seed: SeedSpec, *args) -> np.ndarray:
+    """The replicate of ``seed``: the one-row block of the block form ``rows`` at its index."""
+    i = int(seed.replicate_index)
+    return rows(seed.master_seed, i, i + 1, *args)[0]
 
 
 def _replicate_rows(task, master_seed: int, start: int, stop: int) -> np.ndarray:

@@ -8,9 +8,11 @@ keep to disjoint counter domains, told apart by the fourth counter word:
 
 * A path stream, named by a :class:`SeedSpec` (master seed, replicate
   index), starts at counter [0, 0, index, 0] and advances the first word;
-  :meth:`SeedSpec.normals` reads its head with numpy's ziggurat, and
-  :meth:`SeedSpec.rng` hands it out as an open-ended generator.  The
-  local-time paths, and the spectral and gram sweeps, draw from these.
+  :func:`path_normals` reads the heads of a range of them with numpy's
+  ziggurat, one row each, :meth:`SeedSpec.normals` reads one, and
+  :meth:`SeedSpec.rng` hands a stream out as an open-ended generator.
+  The local-time paths, and the spectral and gram sweeps, draw from
+  these.
 * A fixed-width row, drawn by :func:`normals_block`, reads a fixed run of
   counters with fourth word 1, so a whole range of replicate indices is
   one contiguous read.  The covariance-route tasks (Cholesky, sheet and
@@ -134,6 +136,19 @@ def _check_word(name: str, v) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
 
+def path_normals(master_seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """``out`` with row r the head of the path stream ``SeedSpec(master_seed, start + r)``.
+
+    Each row is one state load of the calling thread's module-owned Philox
+    and one ziggurat read straight into the row, so it has the bytes of
+    ``SeedSpec(master_seed, start + r).rng().standard_normal(out.shape[1])``
+    and a caller can refill one buffer for batch after batch.
+    """
+    for r, row in enumerate(out):
+        _STREAM.load(*SeedSpec(master_seed, start + r)._words()).standard_normal(out=row)
+    return out
+
+
 def _row_stream(master_seed: int, start: int, size: int) -> tuple[np.random.Generator, int]:
     """The calling thread's generator at fixed-width row ``start``, and its words per row.
 
@@ -231,36 +246,40 @@ def circulant_embedding_weights(cov_sequence: np.ndarray) -> np.ndarray:
     return np.sqrt(lam / lam.size)
 
 
-def _half_spectrum(z: np.ndarray) -> np.ndarray:
-    """Hermitian half spectrum of m real normals z (Dietrich & Newsam 1997).
+def _half_spectrum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hermitian half spectrum of each row of m real normals z (Dietrich & Newsam 1997).
 
     y[0] = z[0] and y[m/2] = z[m/2] are real, and y[k] = (z[k] + i
     z[m/2 + k]) / sqrt(2) for 0 < k < m/2, so that the unscaled inverse
-    real transform of y / sqrt(m) is m independent standard normals.  One
-    half spectrum can drive several weightings: :func:`_weighted_synthesis`
-    leaves it as it is.
+    real transform of y / sqrt(m) is m independent standard normals.  It
+    is packed into ``out`` when given, a complex array of z's leading
+    shape and m/2 + 1 columns.  One half spectrum can drive several
+    weightings: :func:`_weighted_synthesis` leaves it as it is.
     """
-    h = z.size // 2
-    y = np.empty(h + 1, dtype=complex)
-    y.real = z[: h + 1]
-    y.imag[0] = y.imag[h] = 0.0
-    y.imag[1:h] = z[h + 1 :]
-    y[1:h] *= np.sqrt(0.5)
+    h = z.shape[-1] // 2
+    y = np.empty(z.shape[:-1] + (h + 1,), dtype=complex) if out is None else out
+    y.real = z[..., : h + 1]
+    y.imag[..., 0] = y.imag[..., h] = 0.0
+    y.imag[..., 1:h] = z[..., h + 1 :]
+    y[..., 1:h] *= np.sqrt(0.5)
     return y
 
 
-def _weighted_synthesis(weights: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """First n values of m * irfft(w[:m/2+1] y) for a half spectrum y.
+def _weighted_synthesis(
+    weights: np.ndarray, y: np.ndarray, n: int, spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """First n values of m * irfft(w[:m/2+1] y) for each row of a half spectrum y.
 
     Since the weights are symmetric, w[k] = w[m - k], the real sequence
     has covariance exactly the circulant, so the map is linear in the
     normals and its first n x n block is the Toeplitz covariance.
     ``norm="forward"`` leaves the inverse transform unscaled, which is the
-    factor m; the weighted spectrum is a fresh buffer the transform may
-    overwrite.
+    factor m.  The weighted spectrum goes to ``spectrum``, a buffer of y's
+    shape (a new one when None), which the transform may overwrite; one
+    transform runs over all rows.
     """
-    spectrum = y * weights[: y.size]
-    return irfft(spectrum, n=weights.size, norm="forward", overwrite_x=True)[:n]
+    spectrum = np.multiply(y, weights[: y.shape[-1]], out=spectrum)
+    return irfft(spectrum, n=weights.size, axis=-1, norm="forward", overwrite_x=True)[..., :n]
 
 
 def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.ndarray:

@@ -12,7 +12,9 @@ from heatlocal.errors import (
     UnsupportedOrder,
 )
 from heatlocal.local_time import (
+    BATCH,
     _bridge_pair_inner,
+    bandwidth_floor,
     bridge_moment_exact,
     bridge_motion_replicate,
     bridge_values,
@@ -277,3 +279,46 @@ def test_smoothing_underflow_gives_zeros_not_nan():
         assert not np.any(np.isnan(out))
         assert np.all(out >= 0.0)
         assert out[-1] == 0.0
+
+
+def _local_time_tasks(n: int, z: float):
+    """Each local-time task with keywords whose schedule the n-point grid resolves."""
+    floor = bandwidth_floor(5.0, n)  # the widest interval below
+    # a dyadic step, a fresh one, then a dyadic one again
+    paths = dict(n=n, z=z, schedule=(8 * floor, 4 * floor, 3 * floor, 1.5 * floor))
+    return {
+        "heat-one": (heat_replicate, dict(intervals=((0.0, 5.0),), **paths)),
+        "heat-two": (heat_replicate, dict(intervals=((0.0, 2.0), (0.0, 5.0)), **paths)),
+        "local-heat": (
+            local_time_replicate, dict(process_tag="heat", interval=(0.0, 2.0), **paths)
+        ),
+        "local-bridge": (
+            local_time_replicate, dict(process_tag="bridge", interval=(0.0, 1.0), **paths)
+        ),
+        "local-motion": (
+            local_time_replicate, dict(process_tag="motion", interval=(0.0, 1.0), **paths)
+        ),
+        "bridge-motion": (bridge_motion_replicate, dict(extra_eps=2 * floor, **paths)),
+    }
+
+
+@pytest.mark.parametrize("z", (0.0, 0.3))
+@pytest.mark.parametrize("n", (64, 257, 1024, 8192))
+def test_local_time_block_forms_are_the_stacked_replicates_byte_for_byte(n, z):
+    # starts off the batch grid, a partial batch, one whole batch and one
+    # and a bit, so batches split where the stacked one-row calls do not
+    for name, (task, kw) in _local_time_tasks(n, z).items():
+        for start, count in ((5, 1), (5, 3), (5, BATCH), (2**40 + 3, 13)):
+            block = task.rows(7, start, start + count, **kw)
+            rows = np.stack([task(SeedSpec(7, i), **kw) for i in range(start, start + count)])
+            assert block.tobytes() == rows.tobytes(), (name, start, count)
+
+
+@pytest.mark.parametrize("z", (0.0, 0.3))
+def test_smoothed_values_of_a_block_are_its_rows_byte_for_byte(z):
+    n = 1024
+    block = np.stack([bridge_values(SeedSpec(3, i), n) for i in range(11)])
+    trap_w = _trapezoid_weights(0.0, 1.0, n)
+    for schedule in (DEFAULT_EPSILON_SCHEDULE, (0.08, 0.05, 0.025, 0.01)):
+        rows = np.stack([smoothed_values(x, trap_w, z, schedule) for x in block])
+        assert smoothed_values(block, trap_w, z, schedule).tobytes() == rows.tobytes()

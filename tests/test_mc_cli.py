@@ -36,7 +36,7 @@ from heatlocal.local_time import (
     local_time_replicate,
     require_resolvable,
 )
-from heatlocal.mc import CHUNK, MCResult, RunConfig, run_replicates
+from heatlocal.mc import CHUNK, PROCESSES, MCResult, RunConfig, run_replicates
 from heatlocal.reports import (
     AggregateTable,
     SuiteReport,
@@ -133,6 +133,8 @@ _QUADRATIC_FORM = dict(
 # a 257-point grid resolves the schedule on (0, 1) and (0, 2), not on (0, 5),
 # and the extra bandwidth on (0, 1)
 _PATHS = dict(n=257, z=0.0, schedule=(0.08, 0.04))
+# below the floor of the 257-point grid on (0, 1) and (0, 2)
+_UNRESOLVED = dict(_PATHS, schedule=(0.08, 1e-3))
 
 
 @pytest.mark.parametrize("replicates", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
@@ -260,6 +262,27 @@ def test_block_form_failure_crosses_process_boundary_with_its_index():
     assert exc_info.value.replicate_index == at
     assert isinstance(exc_info.value.__cause__, _RemoteTraceback)
     assert pickle.loads(pickle.dumps(exc_info.value)).replicate_index == at
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize(
+    "task",
+    (
+        partial(heat_replicate, intervals=((0.0, 2.0),), **_UNRESOLVED),
+        partial(local_time_replicate, process_tag="bridge", interval=(0.0, 1.0), **_UNRESOLVED),
+        partial(bridge_motion_replicate, extra_eps=0.02, **_UNRESOLVED),
+    ),
+    ids=("heat", "local-time", "bridge-motion"),
+)
+def test_local_time_block_form_failure_names_the_chunks_first_index(task, jobs):
+    # the schedule passes no check before the run: the block form raises,
+    # and so does the replay's first replicate
+    assert mc._block_form(task) is not None
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(task, replicates=2 * CHUNK + 1, master_seed=0, jobs=jobs)
+    assert exc_info.value.replicate_index == 0
+    assert "BandwidthTooSmall" in str(exc_info.value)
+    assert isinstance(exc_info.value.__cause__, _RemoteTraceback) == (jobs > 1)
 
 
 def test_pooled_failure_cancels_the_queued_chunks(tmp_path):
@@ -900,6 +923,50 @@ def test_cli_localtime_table(tmp_path, capsys):
     assert len(table.rows) == 3  # two bandwidths plus one gap row
     assert table.rows[0][1] is None
     assert table.rows[2][1] == 0.04
+
+
+# sha256 of the `aggregate` object of `localtime --format json` at grid 1024,
+# seed 3 and 1100 replicates (a whole chunk, then a partial one that ends in
+# a partial batch), recorded before the local-time tasks had block forms
+_LOCALTIME_DIGESTS = {
+    ("heat", "--eps", "0.08,0.04,0.02,0.01"):
+        "8e9997ef7ee4f51239343ed2c9bb99d8d22e44d67e20d80ab18ae66a87ef6242",
+    ("bridge",): "9a515bf3d174310a8ad28df00b07e03f8ddd285a34c690a14dbf700645e19219",
+    ("motion",): "ddab25df36309749bb68eb9e24b5387c7f2829ee232649a34b2731d8d05a14fd",
+    ("motion", "--z", "0.3"):
+        "51f6d81878b406284135d2637fa0f75858401130ed1e8f7b7dfed72ad633841c",
+}
+
+
+@pytest.mark.parametrize("flags", _LOCALTIME_DIGESTS, ids=" ".join)
+def test_cli_localtime_aggregate_keeps_its_golden_bytes(flags, capsys):
+    argv = ["localtime", "--process", *flags, "--grid", "1024", "--reps", "1100",
+            "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
+    aggregate = json.loads(capsys.readouterr().out)["aggregate"]
+    digest = hashlib.sha256(json.dumps(aggregate, sort_keys=True).encode()).hexdigest()
+    assert digest == _LOCALTIME_DIGESTS[flags]
+
+
+def test_every_local_time_task_has_a_block_form(monkeypatch, tmp_path):
+    # a task without one would run one replicate per call: the same bytes,
+    # more slowly, so only a test can tell
+    tasks = []
+
+    def recording_run(task, *args, **kwargs):
+        tasks.append(task)
+        return run_replicates(task, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_replicates", recording_run)
+    monkeypatch.setattr(verify, "run_replicates", recording_run)
+    for process in PROCESSES:
+        argv = ["localtime", "--process", process, "--reps", "4", "--grid", "256",
+                "--eps", "0.5,0.25", "--out", str(tmp_path / "lt.csv")]
+        assert main(argv) == 0
+    cfg = RunConfig(replicates=4, grid_points=1024, epsilon_schedule=(0.08, 0.04))
+    verify.localtime_reports(cfg)
+    assert len(tasks) == len(PROCESSES) + 2  # the bridge and heat families
+    assert all(mc._block_form(task) is not None for task in tasks)
 
 
 def test_cli_fault_injection_fails_integrator(inflated_quadratic_form, monkeypatch, capsys):
