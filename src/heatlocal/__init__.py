@@ -17,11 +17,11 @@ Submodules:
 * ``verify``: the claim-by-claim verification suite.
 * ``cli``: command-line entry point.
 
-Every Monte Carlo task is an array kernel ``f(seed, ...) -> np.ndarray``
-that the engine maps over (master seed, replicate index) pairs.  A task
-may also carry a block form, the ``rows`` attribute of its function:
-``rows(master_seed, start, stop, ...)`` returns the same rows for a whole
-chunk of indices, and the engine then calls it once per chunk.
+Every Monte Carlo task is written once, as a block form
+``rows(master_seed, start, stop, ...)`` that returns one row per replicate
+index, and wrapped as ``mc.Task(rows)``.  The engine calls the block form
+once per chunk of indices; the task called on one ``SeedSpec`` returns
+the one-row block of its index.
 """
 
 from ._version import __version__

@@ -8,8 +8,8 @@ with covariance
 obtained by integrating the squared heat kernel over the driving time.  The
 objects of interest are increments of that field relative to the left
 endpoint of an interval.  Two independent Monte Carlo tasks sample them at
-a few points; each has a block form that draws a range of replicates in
-one call and gives every row the task's bytes.  A replicate's normals are
+a few points; each is a block form that draws a range of replicates in
+one call, wrapped as :class:`heatlocal.mc.Task`.  A replicate's normals are
 its fixed-width row of :func:`heatlocal.sampling.normals_block`, not the
 head of its path stream, so a block reads them all in one call.  The
 Cholesky route factors the increment covariance built from R.  The sheet
@@ -29,8 +29,8 @@ from scipy import special
 
 from .errors import CutoffTooCoarse, NonPositiveTime
 from .grids import SpatialGrid
-from .mc import one_row
-from .sampling import SeedSpec, circulant_embedding_weights, jittered_cholesky, normals_block
+from .mc import Task
+from .sampling import circulant_embedding_weights, jittered_cholesky, normals_block
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -220,9 +220,7 @@ def path_increment_rows(
     return np.matmul(L, z[:, :, None])[:, :, 0]
 
 
-def path_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
-    """One Cholesky-route increment sample as a Monte Carlo task."""
-    return one_row(path_increment_rows, seed, points, interval)
+path_increment_replicate = Task(path_increment_rows)
 
 
 def weighted_increment_square_rows(
@@ -242,11 +240,7 @@ def weighted_increment_square_rows(
     return s * s
 
 
-def weighted_increment_square(
-    seed: SeedSpec, points: tuple, coeffs: tuple, interval: tuple
-) -> np.ndarray:
-    """Squared weighted increment sum of one field path (MC task)."""
-    return one_row(weighted_increment_square_rows, seed, points, coeffs, interval)
+weighted_increment_square = Task(weighted_increment_square_rows)
 
 
 def build_sheet_operator(grid: SpatialGrid) -> SheetOperator:
@@ -278,15 +272,7 @@ def sheet_increment_rows(
     return field[:, -len(points) :] - field[:, :1]
 
 
-def sheet_increment_replicate(seed: SeedSpec, points: tuple, interval: tuple) -> np.ndarray:
-    """One sheet-route increment sample as a Monte Carlo task."""
-    return one_row(sheet_increment_rows, seed, points, interval)
-
-
-# the block forms :func:`heatlocal.mc.run_replicates` calls once per chunk
-path_increment_replicate.rows = path_increment_rows
-weighted_increment_square.rows = weighted_increment_square_rows
-sheet_increment_replicate.rows = sheet_increment_rows
+sheet_increment_replicate = Task(sheet_increment_rows)
 
 
 def sheet_variance_bias() -> float:

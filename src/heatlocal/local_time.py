@@ -10,10 +10,11 @@ The Monte Carlo tasks share their draws where claims allow it: one motion
 path serves the bridge and the motion claims, and one set of normals
 drives the heat field on several intervals.  Each interval's or
 process's numbers are those of a task of its own on the same seed.
-Every task is the one-row call of a block form that works through a
-range of replicates in batches of :data:`BATCH` paths, so a chunk runs
-one inverse FFT or cumulative sum per batch, and each row keeps the
-bytes it has alone.
+Every task is written once, as a block form ``*_rows(master_seed,
+start, stop, ...)`` wrapped as :class:`heatlocal.mc.Task`, whose call on
+one seed is the one-row block.  A block form works through its range in
+batches of :data:`BATCH` paths, so a chunk runs one inverse FFT or
+cumulative sum per batch, and each row keeps the bytes it has alone.
 
 Moment references:
 
@@ -40,7 +41,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .heat_model import _embedding_weights, covariance_R
-from .mc import one_row
+from .mc import Task
 from .sampling import SeedSpec, _half_spectrum, _weighted_synthesis, path_normals
 
 
@@ -322,26 +323,22 @@ def path_rows(
     return np.concatenate(list(_path_batches(process_tag, master_seed, start, stop, n, interval)))
 
 
-def path_values(
-    process_tag: str, seed: SeedSpec, n: int, interval: tuple[float, float]
-) -> np.ndarray:
-    """The path of one seed: the one-row :func:`path_rows`."""
-    return one_row(path_rows, seed, process_tag, n, interval)
+path_values = Task(path_rows)
 
 
 def motion_values(seed: SeedSpec, n: int) -> np.ndarray:
     """w on the uniform n-point grid of [0, 1] by exact increments."""
-    return path_values("motion", seed, n, (0.0, 1.0))
+    return path_values(seed, "motion", n, (0.0, 1.0))
 
 
 def bridge_values(seed: SeedSpec, n: int) -> np.ndarray:
     """w(t) - t w(1) on the uniform n-point grid of [0, 1]; exact in law."""
-    return path_values("bridge", seed, n, (0.0, 1.0))
+    return path_values(seed, "bridge", n, (0.0, 1.0))
 
 
 def heat_values(seed: SeedSpec, n: int, lo: float, hi: float) -> np.ndarray:
     """Increment field on the uniform n-point grid of [lo, hi], exact in law."""
-    return path_values("heat", seed, n, (lo, hi))
+    return path_values(seed, "heat", n, (lo, hi))
 
 
 def smoothed_values(
@@ -404,7 +401,7 @@ def heat_rows(
     """Heat draws for several intervals, one row per replicate index in start..stop-1.
 
     For each interval in turn a row holds the layout of
-    :func:`local_time_replicate`: the schedule's V_eps values, then their
+    :func:`local_time_rows`: the schedule's V_eps values, then their
     squared gaps.  Every interval must resolve the schedule before
     anything is drawn.
     """
@@ -417,15 +414,7 @@ def heat_rows(
     return np.concatenate([np.concatenate(b, axis=1) for b in blocks])
 
 
-def heat_replicate(
-    seed: SeedSpec,
-    n: int,
-    intervals: tuple[tuple[float, float], ...],
-    z: float,
-    schedule: tuple[float, ...],
-) -> np.ndarray:
-    """One heat draw for several intervals: the one-row :func:`heat_rows`."""
-    return one_row(heat_rows, seed, n, intervals, z, schedule)
+heat_replicate = Task(heat_rows)
 
 
 def local_time_rows(
@@ -448,16 +437,7 @@ def local_time_rows(
     return np.concatenate([_local_time_block(x, interval, z, schedule) for x in batches])
 
 
-def local_time_replicate(
-    seed: SeedSpec,
-    process_tag: str,
-    n: int,
-    interval: tuple[float, float],
-    z: float,
-    schedule: tuple[float, ...],
-) -> np.ndarray:
-    """One replicate for the local-time suite: the one-row :func:`local_time_rows`."""
-    return one_row(local_time_rows, seed, process_tag, n, interval, z, schedule)
+local_time_replicate = Task(local_time_rows)
 
 
 def bridge_motion_rows(
@@ -473,7 +453,7 @@ def bridge_motion_rows(
 
     The bridge is w(t) - t w(1), exactly as :func:`bridge_values` builds it
     from the same seed.  A row holds the bridge's schedule V_eps values
-    and squared gaps (the layout of :func:`local_time_replicate`), then V
+    and squared gaps (the layout of :func:`local_time_rows`), then V
     of w at extra_eps, then w(1).
     """
     for eps in (min(schedule), extra_eps):
@@ -487,15 +467,4 @@ def bridge_motion_rows(
     return np.concatenate([block(w) for w in _motion_batches(master_seed, start, stop, n)])
 
 
-def bridge_motion_replicate(
-    seed: SeedSpec, n: int, z: float, schedule: tuple[float, ...], extra_eps: float
-) -> np.ndarray:
-    """One motion path for the bridge and motion claims: the one-row :func:`bridge_motion_rows`."""
-    return one_row(bridge_motion_rows, seed, n, z, schedule, extra_eps)
-
-
-# the block forms :func:`heatlocal.mc.run_replicates` calls once per chunk
-path_values.rows = path_rows
-heat_replicate.rows = heat_rows
-local_time_replicate.rows = local_time_rows
-bridge_motion_replicate.rows = bridge_motion_rows
+bridge_motion_replicate = Task(bridge_motion_rows)

@@ -1,12 +1,13 @@
 """Parallel Monte Carlo engine with a bit-reproducibility contract.
 
 Replicates are pure functions of (master_seed, replicate_index), processed
-in fixed chunks of :data:`CHUNK` indices.  A task is a per-replicate
-callable, ``task(SeedSpec) -> 1-d array``.  It may also have a block form,
+in fixed chunks of :data:`CHUNK` indices.  Every task in the package is
+a :class:`Task`: a block form,
 ``rows(master_seed, start, stop, **keywords) -> (stop - start, d) array``,
-whose row r has the bytes of ``task(SeedSpec(master_seed, start + r))``;
-the engine then calls the block form once per chunk instead of the task
-once per replicate.  Every task in the package has one.  The local-time
+whose row r is replicate ``start + r``; called on a ``SeedSpec``, the
+task returns the one-row block of its index.  The engine makes one block
+call per chunk.  Any other callable ``task(SeedSpec) -> 1-d array`` runs
+through a block form that calls it once per index.  The local-time
 tasks draw each row from the path stream of its SeedSpec
 (:func:`heatlocal.sampling.path_normals`) and work through a chunk in
 batches of :data:`heatlocal.local_time.BATCH` paths, with one inverse
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -80,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"interval {self.interval} and z = {self.z} must be finite")
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             raise ConfigError(f"empty interval {self.interval}")
+        if not math.isfinite(self.interval[1] - self.interval[0]):
+            raise ConfigError(f"the length of interval {self.interval} overflows")
         if self.grid_points < 2:
             raise ConfigError("grid_points must be at least 2")
         if self.replicates < 1:
@@ -119,8 +123,9 @@ class MCResult:
 def _block_form(task):
     """The block form of ``task`` with the task's keywords bound, or None.
 
-    A task declares its block form as the ``rows`` attribute of its
-    function; a ``functools.partial`` of keywords only is looked through.
+    A task declares its block form as its ``rows`` attribute, as a
+    :class:`Task` does; a ``functools.partial`` of keywords only is looked
+    through.
     """
     if isinstance(task, partial):
         if task.args:
@@ -132,41 +137,45 @@ def _block_form(task):
     return None if rows is None else partial(rows, **keywords)
 
 
-def one_row(rows, seed: SeedSpec, *args) -> np.ndarray:
-    """The replicate of ``seed``: the one-row block of the block form ``rows`` at its index."""
-    i = int(seed.replicate_index)
-    return rows(seed.master_seed, i, i + 1, *args)[0]
+@dataclass(frozen=True)
+class Task:
+    """A Monte Carlo task given by its block form ``rows``.
+
+    ``rows(master_seed, start, stop, *args, **kw)`` returns one row per
+    replicate index in start..stop-1; the task called on a SeedSpec
+    returns the one-row block of its index.
+    """
+
+    rows: Callable[..., np.ndarray]
+
+    def __call__(self, seed: SeedSpec, *args, **kw) -> np.ndarray:
+        i = int(seed.replicate_index)
+        return self.rows(seed.master_seed, i, i + 1, *args, **kw)[0]
 
 
 def _replicate_rows(task, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Outputs of ``task`` for the indices start..stop-1, called once per replicate."""
-    rows = []
-    for i in range(start, stop):
-        try:
-            rows.append(np.asarray(task(SeedSpec(master_seed, i)), dtype=float))
-        except ReplicateFailure:
-            raise
-        except Exception as exc:  # attach the replicate index, then re-raise
-            raise ReplicateFailure(i, f"{type(exc).__name__}: {exc}") from exc
-    return np.stack(rows)
+    """The block form of a task without one: ``task`` called once per index."""
+    return np.stack(
+        [np.asarray(task(SeedSpec(master_seed, i)), dtype=float) for i in range(start, stop)]
+    )
 
 
-def _chunk_power_sums(task, rows, master_seed: int, n: int, keep_raw: bool, start: int):
-    """Power sums S1..S4 of task outputs for the chunk of indices from ``start``.
+def _chunk_power_sums(rows, master_seed: int, n: int, keep_raw: bool, start: int):
+    """Power sums S1..S4 of the block form's rows for the chunk of indices from ``start``.
 
-    ``rows`` is the task's block form or None.  When the block form
-    raises, the chunk is replayed one replicate at a time, so the failure
-    names the replicate that raised.
+    When the block call raises, the chunk is replayed one row at a time,
+    so the failure names the replicate that raised.
     """
     stop = min(start + CHUNK, n)
-    if rows is None:
-        block = _replicate_rows(task, master_seed, start, stop)
-    else:
-        try:
-            block = np.asarray(rows(master_seed, start, stop), dtype=float)
-        except Exception as exc:
-            _replicate_rows(task, master_seed, start, stop)
-            raise ReplicateFailure(start, f"{type(exc).__name__}: {exc}") from exc
+    try:
+        block = np.asarray(rows(master_seed, start, stop), dtype=float)
+    except Exception as exc:
+        for i in range(start, stop):
+            try:
+                rows(master_seed, i, i + 1)
+            except Exception as row_exc:
+                raise ReplicateFailure(i, f"{type(row_exc).__name__}: {row_exc}") from row_exc
+        raise ReplicateFailure(start, f"{type(exc).__name__}: {exc}") from exc
     if block.ndim != 2 or block.shape[0] != stop - start:
         raise ReplicateFailure(start, "task must return a 1-d array per replicate")
     p2 = block * block
@@ -213,16 +222,16 @@ def run_replicates(
     """Aggregate ``task`` over independent replicates, reproducibly.
 
     ``task(seed: SeedSpec) -> 1-d array`` must be pure and, when jobs > 1,
-    picklable (a module-level function or a partial of one).  Its block
-    form, if any, is the ``rows`` attribute of the function, found through
-    a partial of keywords.  A ``config`` supplies replicates, master seed
-    and jobs; otherwise the keywords do.  Chunks come from builtin ``map``
-    over single chunks, or in a pool from ``ProcessPoolExecutor.map`` over
+    picklable (a module-level function, a :class:`Task`, or a partial of
+    one).  Its block form is the ``rows`` attribute of the task, found
+    through a partial of keywords; a task without one is called once per
+    replicate.  A ``config`` supplies replicates, master seed and jobs;
+    otherwise the keywords do.  Chunks come from builtin ``map`` over
+    single chunks, or in a pool from ``ProcessPoolExecutor.map`` over
     batches of whole chunks (:func:`_guided_batches`); both yield in
     submission order, and the bytes depend on neither the batching nor
-    ``jobs``.  Task exceptions, of either form, surface as
-    :class:`ReplicateFailure` carrying the replicate index, and cancel the
-    batches still queued.
+    ``jobs``.  Task exceptions surface as :class:`ReplicateFailure`
+    carrying the replicate index, and cancel the batches still queued.
     """
     if config is not None:
         replicates, master_seed, jobs = config.replicates, config.master_seed, config.jobs
@@ -233,7 +242,8 @@ def run_replicates(
 
     n = replicates
     starts = range(0, n, CHUNK)
-    chunk = partial(_chunk_power_sums, task, _block_form(task), master_seed, n, return_raw)
+    rows = _block_form(task) or partial(_replicate_rows, task)
+    chunk = partial(_chunk_power_sums, rows, master_seed, n, return_raw)
     workers = min(jobs, len(starts))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     total = raw = None

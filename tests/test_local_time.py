@@ -237,7 +237,7 @@ def test_window_mean_approaches_conditional_moment():
 
 def test_path_values_unknown_process():
     with pytest.raises(UnknownProcess):
-        path_values("levy", SeedSpec(0), 16, (0.0, 1.0))
+        path_values(SeedSpec(0), "levy", 16, (0.0, 1.0))
 
 
 def _direct_smoothed(values, trap_w, z, schedule):
@@ -257,7 +257,7 @@ def test_dyadic_smoothing_matches_direct_kernels(process_tag, interval):
     trap_w = _trapezoid_weights(*interval, n)
     non_dyadic = (0.08, 0.05, 0.01)
     for i in range(4):
-        vals = path_values(process_tag, SeedSpec(21, i), n, interval)
+        vals = path_values(SeedSpec(21, i), process_tag, n, interval)
         fast = smoothed_values(vals, trap_w, 0.0, DEFAULT_EPSILON_SCHEDULE)
         direct = _direct_smoothed(vals, trap_w, 0.0, DEFAULT_EPSILON_SCHEDULE)
         assert np.max(np.abs(fast / direct - 1.0)) <= 1e-14

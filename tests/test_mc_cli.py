@@ -10,6 +10,8 @@ import os
 import pickle
 import platform
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures.process import _RemoteTraceback
 from functools import partial
@@ -206,6 +208,69 @@ def test_engine_calls_a_block_form_once_per_chunk():
     res = run_replicates(partial(scale_first_task, 2.0), replicates=CHUNK + 1, master_seed=3)
     assert len(calls) == 3
     assert res.mean[0] == 3.0
+
+    # a task without a block form is called once per replicate
+    seen = []
+
+    def per_replicate(seed):
+        seen.append(seed.replicate_index)
+        return np.ones(1)
+
+    run_replicates(per_replicate, replicates=2 * CHUNK + 1, master_seed=3)
+    assert seen == list(range(2 * CHUNK + 1))
+
+    # a block form that raises is replayed in one-row calls up to the raising index
+    at = CHUNK + 5
+
+    def raising_rows(master_seed, start, stop):
+        calls.append((start, stop))
+        if start <= at < stop:
+            raise ValueError("boom")
+        return np.zeros((stop - start, 1))
+
+    calls.clear()
+    with pytest.raises(ReplicateFailure) as exc_info:
+        run_replicates(mc.Task(raising_rows), replicates=2 * CHUNK + 1, master_seed=3)
+    assert exc_info.value.replicate_index == at
+    assert "ValueError: boom" in str(exc_info.value)
+    assert calls == [(0, CHUNK), (CHUNK, 2 * CHUNK)] + [(i, i + 1) for i in range(CHUNK, at + 1)]
+
+
+_BLAS_SCRIPT = """
+import ctypes, glob, hashlib, os
+from functools import partial
+import numpy as np
+from heatlocal.heat_model import path_increment_replicate, weighted_increment_square
+from heatlocal.mc import run_replicates
+for task, kw in ((path_increment_replicate, {inc!r}), (weighted_increment_square, {qf!r})):
+    res = run_replicates(partial(task, **kw), replicates={n}, master_seed=29, return_raw=True)
+    print(hashlib.sha256(res.raw.tobytes()).hexdigest())
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+get = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None) for lib in libs]
+print(next((f() for f in get if f), "unknown"))
+"""
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_blas_routes_keep_their_golden_bytes_at_one_and_two_blas_threads(threads):
+    # the stacked matmul products of the Cholesky and quadratic-form routes
+    # reach OpenBLAS, whose thread count is fixed when numpy loads, so each
+    # count runs in a fresh interpreter; a 2-core host can test only 1 and 2
+    script = _BLAS_SCRIPT.format(inc=_INCREMENTS, qf=_QUADRATIC_FORM, n=2 * CHUNK + 1)
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    *digests, blas_threads = proc.stdout.split()
+    # the digests of test_increment_routes_emit_golden_raw_bytes
+    assert digests == [
+        "60c7efbea76aa338bf76cb08c5d19d823075026950be43114c89ea679578c365",
+        "0748c11b914da4f23d025ea02c6f099705f350f71a01d49c1cb0c1531d293ab4",
+    ]
+    # where the bundled OpenBLAS can be asked, it runs the requested threads
+    assert blas_threads in (threads, "unknown")
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -950,7 +1015,8 @@ def test_cli_localtime_aggregate_keeps_its_golden_bytes(flags, capsys):
 
 def test_every_local_time_task_has_a_block_form(monkeypatch, tmp_path):
     # a task without one would run one replicate per call: the same bytes,
-    # more slowly, so only a test can tell
+    # more slowly, so only a test can tell; every task that simulate,
+    # localtime and verify build is checked
     tasks = []
 
     def recording_run(task, *args, **kwargs):
@@ -959,13 +1025,15 @@ def test_every_local_time_task_has_a_block_form(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "run_replicates", recording_run)
     monkeypatch.setattr(verify, "run_replicates", recording_run)
-    for process in PROCESSES:
-        argv = ["localtime", "--process", process, "--reps", "4", "--grid", "256",
-                "--eps", "0.5,0.25", "--out", str(tmp_path / "lt.csv")]
-        assert main(argv) == 0
+    for command in ("simulate", "localtime"):
+        for process in PROCESSES:
+            argv = [command, "--process", process, "--reps", "4", "--grid", "256",
+                    "--out", str(tmp_path / "out.csv")]
+            assert main(argv + (["--eps", "0.5,0.25"] if command == "localtime" else [])) == 0
     cfg = RunConfig(replicates=4, grid_points=1024, epsilon_schedule=(0.08, 0.04))
-    verify.localtime_reports(cfg)
-    assert len(tasks) == len(PROCESSES) + 2  # the bridge and heat families
+    verify.verify_all(cfg)
+    # qf-mc, sim-path, sim-sheet and the bridge and heat families
+    assert len(tasks) == 2 * len(PROCESSES) + 5
     assert all(mc._block_form(task) is not None for task in tasks)
 
 
@@ -1029,6 +1097,8 @@ def test_cli_parent_memory_error_exits_two(monkeypatch, capsys):
         ["localtime", "--z", "-Infinity"],
         ["localtime", "--z", "-NaN"],
         ["simulate", "--interval", "-INF", "1"],
+        ["simulate", "--process", "heat", "--interval", "-1e308", "1e308", "--grid", "64",
+         "--reps", "3"],
     ),
 )
 def test_cli_non_finite_input_is_a_configuration_error(argv, monkeypatch, capsys):
