@@ -68,3 +68,7 @@ class ReplicateFailure(HeatLocalError):
     def __reduce__(self):
         # two-argument constructor: keep it unpicklable-safe across workers
         return (ReplicateFailure, (self.replicate_index, self.message))
+
+
+class NonFiniteAggregate(HeatLocalError):
+    """A Monte Carlo aggregate (a mean, standard error or raw moment) is not finite."""

@@ -72,10 +72,13 @@ def covariance_R(d) -> np.ndarray:
 
     Closed form; its agreement with the brute-force double quadrature
     :func:`covariance_R_quadrature` is enforced by the test suite, not by a
-    runtime branch.  R(0) = 1/sqrt(pi).
+    runtime branch.  R(0) = 1/sqrt(pi).  The Gaussian term reads the lag
+    clamped at 64, where exp(-d^2/4) is already 0, so no lag squares past
+    the float range.
     """
     d = np.abs(np.asarray(d, dtype=float))
-    return np.exp(-d * d / 4.0) / SQRT_PI - (d / 2.0) * special.erfc(d / 2.0)
+    g = np.minimum(d, 64.0)
+    return np.exp(-g * g / 4.0) / SQRT_PI - (d / 2.0) * special.erfc(d / 2.0)
 
 
 @cache

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy import integrate, special
@@ -42,7 +43,13 @@ from .errors import (
 )
 from .heat_model import _embedding_weights, covariance_R
 from .mc import Task
-from .sampling import SeedSpec, _half_spectrum, _weighted_synthesis, path_normals
+from .sampling import (
+    SeedSpec,
+    _coarse_half_spectrum,
+    _half_spectrum,
+    _weighted_synthesis,
+    path_normals,
+)
 
 
 def bandwidth_floor(span: float, n: int) -> float:
@@ -278,7 +285,12 @@ def _pin_to_bridge(w: np.ndarray) -> np.ndarray:
 
 
 def _heat_batches(
-    master_seed: int, start: int, stop: int, n: int, intervals: tuple[tuple[float, float], ...]
+    master_seed: int,
+    start: int,
+    stop: int,
+    n: int,
+    intervals: tuple[tuple[float, float], ...],
+    coarse_n: int | None = None,
 ):
     """Increment fields on the uniform n-point grids of several intervals.
 
@@ -287,7 +299,11 @@ def _heat_batches(
     depends on n only, so one half spectrum of normals drives every
     interval through its own weights and inverse FFT: the paths are
     dependent, and each is the path its interval alone would get from the
-    seed.
+    seed.  With ``coarse_n``, the batch also lists, after those, each
+    interval's path on its coarse_n-point grid, driven by the low
+    frequencies of the same half spectrum (:func:`_coarse_half_spectrum`)
+    through the coarse grid's own weights: exact in law on that grid and
+    coupled to the n-point path.
     """
     weights = [_embedding_weights(n, (hi - lo) / (n - 1)) for lo, hi in intervals]
     m = weights[0].size
@@ -296,10 +312,16 @@ def _heat_batches(
     # the normals are drawn into the spectrum's memory: packed into the
     # half spectrum, they are dead before the first weighting overwrites them
     normals = spectrum.view(float)[:, :m]
+    if coarse_n is not None:
+        coarse = [_embedding_weights(coarse_n, (hi - lo) / (coarse_n - 1)) for lo, hi in intervals]
+        coarse_half = np.empty((len(half), coarse[0].size // 2 + 1), dtype=complex)
     for first in range(start, stop, BATCH):
         rows = min(BATCH, stop - first)
         y = _half_spectrum(path_normals(master_seed, first, normals[:rows]), half[:rows])
         paths = (_weighted_synthesis(w, y, n, spectrum[:rows]) for w in weights)
+        if coarse_n is not None:
+            yc = _coarse_half_spectrum(y, coarse[0].size, coarse_half[:rows])
+            paths = chain(paths, (_weighted_synthesis(w, yc, coarse_n) for w in coarse))
         yield [x - x[:, :1] for x in paths]
 
 
@@ -397,24 +419,57 @@ def heat_rows(
     intervals: tuple[tuple[float, float], ...],
     z: float,
     schedule: tuple[float, ...],
+    coarse: tuple[int, float] | None = None,
 ) -> np.ndarray:
     """Heat draws for several intervals, one row per replicate index in start..stop-1.
 
     For each interval in turn a row holds the layout of
     :func:`local_time_rows`: the schedule's V_eps values, then their
-    squared gaps.  Every interval must resolve the schedule before
-    anything is drawn.
+    squared gaps.  With ``coarse = (n_c, eps_c)`` a row is one level of the
+    multilevel estimator: after each interval's layout come V at eps_c on
+    the coupled n_c-point path (:func:`_heat_batches`) and the level's
+    difference, V at the schedule's last bandwidth minus that coarse V.
+    Every grid must resolve its bandwidths before anything is drawn.
     """
     for interval in intervals:
         require_resolvable(min(schedule), interval, n)
-    blocks = (
-        [_local_time_block(x, iv, z, schedule) for x, iv in zip(paths, intervals)]
-        for paths in _heat_batches(master_seed, start, stop, n, intervals)
-    )
-    return np.concatenate([np.concatenate(b, axis=1) for b in blocks])
+        if coarse is not None:
+            require_resolvable(coarse[1], interval, coarse[0])
+    k = len(schedule)
+
+    def block(paths):
+        out = []
+        for i, iv in enumerate(intervals):
+            out.append(_local_time_block(paths[i], iv, z, schedule))
+            if coarse is not None:
+                trap_w = _trapezoid_weights(*iv, coarse[0])
+                v = smoothed_values(paths[len(intervals) + i], trap_w, z, coarse[1:])
+                out += [v, out[-1][:, k - 1 : k] - v]
+        return np.concatenate(out, axis=1)
+
+    coarse_n = None if coarse is None else coarse[0]
+    batches = _heat_batches(master_seed, start, stop, n, intervals, coarse_n)
+    return np.concatenate([block(paths) for paths in batches])
 
 
 heat_replicate = Task(heat_rows)
+
+
+def level_grids(
+    n: int, intervals: tuple[tuple[float, float], ...], schedule: tuple[float, ...]
+) -> tuple[int, ...]:
+    """Grid of each level of the multilevel heat estimator, coarsest first.
+
+    Level l smooths at schedule[l].  The finest level takes the n-point
+    grid; each coarser level halves the grid above it when the half still
+    resolves its bandwidth on every interval, and keeps it otherwise.
+    """
+    grids = [n]
+    for eps in reversed(schedule[:-1]):
+        half = grids[-1] // 2
+        fits = half >= 2 and all(bandwidth_floor(hi - lo, half) <= eps for lo, hi in intervals)
+        grids.append(half if fits else grids[-1])
+    return tuple(reversed(grids))
 
 
 def local_time_rows(

@@ -20,7 +20,9 @@ worker count, the aggregate is bit-identical for any ``jobs`` value.
 A pool is sent batches of consecutive whole chunks, largest first
 (guided self-scheduling), so cheap chunks do not each pay a dispatch;
 the batches only group chunks, so the bytes depend on neither the
-batching nor ``jobs``.
+batching nor ``jobs``.  A :class:`Levels` task, the levels of a
+multilevel estimator, runs each level as a family of its own on a
+derived seed, with the chunks of every level in one map.
 
 Pool workers keep the BLAS thread count their parent fixed at import.
 Some task arithmetic reaches OpenBLAS: the stacked ``matmul`` products of
@@ -33,16 +35,16 @@ the same bytes; more threads are untested.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ReplicateFailure
+from .errors import ConfigError, NonFiniteAggregate, ReplicateFailure
 from .sampling import _UINT64_MAX, SeedSpec
 
 PROCESSES = ("heat", "bridge", "motion")
@@ -178,15 +180,17 @@ def _chunk_power_sums(rows, master_seed: int, n: int, keep_raw: bool, start: int
         raise ReplicateFailure(start, f"{type(exc).__name__}: {exc}") from exc
     if block.ndim != 2 or block.shape[0] != stop - start:
         raise ReplicateFailure(start, "task must return a 1-d array per replicate")
-    p2 = block * block
-    sums = np.stack(
-        [
-            np.sum(block, axis=0),
-            np.sum(p2, axis=0),
-            np.sum(p2 * block, axis=0),
-            np.sum(p2 * p2, axis=0),
-        ]
-    )
+    # an overflow here is reported once, by the aggregate's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = block * block
+        sums = np.stack(
+            [
+                np.sum(block, axis=0),
+                np.sum(p2, axis=0),
+                np.sum(p2 * block, axis=0),
+                np.sum(p2 * p2, axis=0),
+            ]
+        )
     return start, sums, (block if keep_raw else None)
 
 
@@ -210,6 +214,79 @@ def _guided_batches(starts, workers: int):
     return batches
 
 
+def derive_master(master_seed: int, tag: str) -> int:
+    """Stable 64-bit sub-seed for one named piece of a run."""
+    digest = hashlib.sha256(int(master_seed).to_bytes(8, "little") + tag.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+@dataclass(frozen=True)
+class Levels:
+    """A family run as several: the levels of a multilevel estimator.
+
+    Level l runs ``tasks[l]`` on ``sizes(replicates)[l]`` replicates from
+    its own master seed, ``derive_master(master_seed, f"level-{l}")``, so
+    the levels are independent families; :func:`run_replicates` returns
+    one :class:`MCResult` per level.
+    """
+
+    tasks: tuple
+    sizes: Callable[[int], tuple[int, ...]]
+
+
+def _aggregate(n: int, total: np.ndarray, raw: np.ndarray | None) -> MCResult:
+    """The MCResult of n replicates from their power sums S1..S4."""
+    s1, s2, s3, s4 = total
+    mean = s1 / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else np.zeros_like(mean)
+    stderr = np.sqrt(var / n)
+    res = MCResult(n=n, mean=mean, stderr=stderr, m2=s2 / n, m3=s3 / n, m4=s4 / n, raw=raw)
+    if not all(np.all(np.isfinite(a)) for a in (res.mean, res.stderr, res.m2, res.m3, res.m4)):
+        raise NonFiniteAggregate(
+            f"the aggregate of {n} replicates is not finite: a replicate value "
+            "is not finite or one of its powers up to the fourth overflows"
+        )
+    return res
+
+
+def _run_families(families, jobs: int, return_raw: bool) -> list[MCResult]:
+    """One MCResult per (task, replicates, master_seed) family, all chunks in one map.
+
+    Each family's chunks are folded in index order, so its bytes depend
+    on neither the other families nor ``jobs``.  The last family's chunks
+    are sent first: the finest level of a multilevel family has the
+    costliest chunks.
+    """
+    chunks, starts = [], []
+    for task, n, master_seed in families:
+        rows = _block_form(task) or partial(_replicate_rows, task)
+        chunks.append(partial(_chunk_power_sums, rows, master_seed, n, return_raw))
+        starts.append(range(0, n, CHUNK))
+    order = range(len(families) - 1, -1, -1)
+    workers = min(jobs, sum(map(len, starts)))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        if pool:
+            items = [(f, b) for f in order for b in _guided_batches(starts[f], workers)]
+            results = pool.map(
+                _batch_power_sums, [chunks[f] for f, _ in items], [b for _, b in items]
+            )
+        else:
+            items = [(f, [s]) for f in order for s in starts[f]]
+            results = ([chunks[f](s)] for f, (s,) in items)
+        totals, raws = [None] * len(families), [None] * len(families)
+        for (f, _), batch in zip(items, results):
+            for start, sums, block in batch:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    totals[f] = sums if totals[f] is None else totals[f] + sums
+                if return_raw:  # copied into place, so no raw row is held twice
+                    if raws[f] is None:
+                        raws[f] = np.empty((families[f][1], block.shape[1]))
+                    raws[f][start : start + block.shape[0]] = block
+    return [_aggregate(fam[1], total, raw) for fam, total, raw in zip(families, totals, raws)]
+
+
 def run_replicates(
     task,
     config: RunConfig | None = None,
@@ -218,20 +295,23 @@ def run_replicates(
     master_seed: int | None = None,
     jobs: int = 1,
     return_raw: bool = False,
-) -> MCResult:
+) -> MCResult | tuple[MCResult, ...]:
     """Aggregate ``task`` over independent replicates, reproducibly.
 
     ``task(seed: SeedSpec) -> 1-d array`` must be pure and, when jobs > 1,
     picklable (a module-level function, a :class:`Task`, or a partial of
     one).  Its block form is the ``rows`` attribute of the task, found
     through a partial of keywords; a task without one is called once per
-    replicate.  A ``config`` supplies replicates, master seed and jobs;
-    otherwise the keywords do.  Chunks come from builtin ``map`` over
-    single chunks, or in a pool from ``ProcessPoolExecutor.map`` over
-    batches of whole chunks (:func:`_guided_batches`); both yield in
-    submission order, and the bytes depend on neither the batching nor
-    ``jobs``.  Task exceptions surface as :class:`ReplicateFailure`
-    carrying the replicate index, and cancel the batches still queued.
+    replicate.  A :class:`Levels` task runs each of its levels as a family
+    of its own, in one map, and gives a tuple of results.  A ``config``
+    supplies replicates, master seed and jobs; otherwise the keywords do.
+    Chunks come from a generator over single chunks, or in a pool from
+    ``ProcessPoolExecutor.map`` over batches of whole chunks
+    (:func:`_guided_batches`); both yield in submission order, and the
+    bytes depend on neither the batching nor ``jobs``.  Task exceptions
+    surface as :class:`ReplicateFailure` carrying the replicate index, and
+    cancel the batches still queued; an aggregate that is not finite
+    raises :class:`NonFiniteAggregate`.
     """
     if config is not None:
         replicates, master_seed, jobs = config.replicates, config.master_seed, config.jobs
@@ -239,40 +319,10 @@ def run_replicates(
         raise ConfigError("run_replicates needs replicates and master_seed")
     if replicates < 1:
         raise ConfigError("replicates must be at least 1")
-
-    n = replicates
-    starts = range(0, n, CHUNK)
-    rows = _block_form(task) or partial(_replicate_rows, task)
-    chunk = partial(_chunk_power_sums, rows, master_seed, n, return_raw)
-    workers = min(jobs, len(starts))
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    total = raw = None
-    with pool or contextlib.nullcontext():
-        if pool:
-            batches = _guided_batches(starts, workers)
-            results = chain.from_iterable(pool.map(partial(_batch_power_sums, chunk), batches))
-        else:
-            results = map(chunk, starts)
-        for start, sums, block in results:
-            total = sums if total is None else total + sums
-            if return_raw:  # copied into place, so no raw row is held twice
-                if raw is None:
-                    raw = np.empty((n, block.shape[1]))
-                raw[start : start + block.shape[0]] = block
-
-    s1, s2, s3, s4 = total
-    mean = s1 / n
-    if n > 1:
-        var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.zeros_like(mean)
-    return MCResult(
-        n=n,
-        mean=mean,
-        stderr=stderr,
-        m2=s2 / n,
-        m3=s3 / n,
-        m4=s4 / n,
-        raw=raw,
-    )
+    if isinstance(task, Levels):
+        families = [
+            (level, size, derive_master(master_seed, f"level-{l}"))
+            for l, (level, size) in enumerate(zip(task.tasks, task.sizes(replicates)))
+        ]
+        return tuple(_run_families(families, jobs, return_raw))
+    return _run_families([(task, replicates, master_seed)], jobs, return_raw)[0]

@@ -265,6 +265,23 @@ def _half_spectrum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
+def _coarse_half_spectrum(y: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """The half spectrum of m normals held in the first m/2 + 1 entries of y.
+
+    y is a half spectrum (:func:`_half_spectrum`) of some length m' >= m.
+    Below index m/2 its entries have the law of the coarse ones; when m <
+    m', the entry at m/2 is complex, and sqrt(2) times its real part is
+    the real normal the coarse Nyquist entry needs.  So ``out``, a complex
+    array of y's leading shape and m/2 + 1 columns, has the law of a fresh
+    half spectrum and shares y's low frequencies.
+    """
+    h = m // 2
+    out[...] = y[..., : h + 1]
+    if h + 1 < y.shape[-1]:
+        out[..., h] = np.sqrt(2.0) * out[..., h].real
+    return out
+
+
 def _weighted_synthesis(
     weights: np.ndarray, y: np.ndarray, n: int, spectrum: np.ndarray | None = None
 ) -> np.ndarray:

@@ -11,7 +11,7 @@ count.
 
 from __future__ import annotations
 
-import hashlib
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -50,11 +50,12 @@ from .local_time import (
     expected_motion_local_time_in_window,
     expected_smoothed_local_time,
     heat_replicate,
+    level_grids,
     levy_density_normalization,
     require_resolvable,
     second_moment_via_density,
 )
-from .mc import MCResult, RunConfig, run_replicates
+from .mc import Levels, MCResult, RunConfig, derive_master, run_replicates
 from .reports import FAIL, SuiteReport, bound_report, two_sided_report
 from .sampling import SeedSpec
 from .spectral import (
@@ -104,14 +105,6 @@ def _check_suite_config(config: RunConfig) -> None:
         require_resolvable(min(config.epsilon_schedule), interval, config.grid_points)
 
 
-def derive_master(master_seed: int, tag: str) -> int:
-    """Stable 64-bit sub-seed for one named piece of the suite."""
-    digest = hashlib.sha256(
-        int(master_seed).to_bytes(8, "little") + tag.encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 class _TooFewDraws(Exception):
     """A claim's own sample has under two draws; ``args`` are its report numbers."""
 
@@ -131,15 +124,20 @@ class _Inputs:
         self.eps_star = config.epsilon_schedule[-1]
         self.extra_eps = max(5e-4, bandwidth_floor(1.0, config.grid_points))
         self.heat_intervals = (config.interval, LONG_INTERVAL)
+        self._families: dict = {}
 
-    def run(self, tag: str, task, replicates: int, return_raw: bool = False) -> MCResult:
-        return run_replicates(
-            task,
-            replicates=replicates,
-            master_seed=derive_master(self.config.master_seed, tag),
-            jobs=self.config.jobs,
-            return_raw=return_raw,
-        )
+    def family(self, tag: str):
+        """The results of the registry's family ``tag``, run on first read and kept."""
+        if tag not in self._families:
+            fam = next(f for f in FAMILIES if f.tag == tag)
+            self._families[tag] = run_replicates(
+                fam.task(self),
+                replicates=fam.replicates(self.config),
+                master_seed=derive_master(self.config.master_seed, tag),
+                jobs=self.config.jobs,
+                return_raw=fam.raw,
+            )
+        return self._families[tag]
 
     @cached_property
     def step_functions(self) -> list[StepFunction]:
@@ -165,31 +163,13 @@ class _Inputs:
         # one stream, read by the gram sweeps in registry order
         return SeedSpec(derive_master(self.config.master_seed, "gram-sweep")).rng()
 
-    @cached_property
+    @property
     def bridge(self) -> MCResult:
-        # one motion path per replicate: the bridge's V and gaps, then the
-        # motion's V at extra_eps and w(1) in the last two columns
-        task = partial(
-            bridge_motion_replicate,
-            n=self.config.grid_points,
-            z=self.config.z,
-            schedule=self.config.epsilon_schedule,
-            extra_eps=self.extra_eps,
-        )
-        return self.run("mc-bridge", task, self.config.replicates, return_raw=True)
+        return self.family("mc-bridge")
 
-    @cached_property
-    def heat(self) -> MCResult:
-        # one heat draw per replicate for both intervals: the V and gaps on
-        # --interval, then those on LONG_INTERVAL
-        task = partial(
-            heat_replicate,
-            n=self.config.grid_points,
-            intervals=self.heat_intervals,
-            z=self.config.z,
-            schedule=self.config.epsilon_schedule,
-        )
-        return self.run("mc-heat-short", task, self.config.replicates)
+    @property
+    def heat(self) -> tuple[MCResult, ...]:
+        return self.family("mc-heat-short")
 
     @cached_property
     def exp_bridge(self) -> float:
@@ -223,6 +203,39 @@ class _Inputs:
         if sample.size < 2:
             return 0.0, None
         return float(np.mean(sample)), float(np.std(sample, ddof=1) / np.sqrt(sample.size))
+
+    @cached_property
+    def heat_means(self) -> list[tuple[float, float]]:
+        """Per heat interval, the telescoped mean of V at eps* and its standard error.
+
+        Each level's row ends, per interval, in the level's difference
+        (at level 0, its V); their means add up to the finest level's mean
+        of V at eps*, and their variances over the level sizes to its
+        squared standard error.
+        """
+        out, blocks = [], len(self.heat_intervals)
+        for b in range(blocks):
+            ends = [(b + 1) * (res.mean.size // blocks) - 1 for res in self.heat]
+            value = sum(float(res.mean[i]) for res, i in zip(self.heat, ends))
+            var = sum(float(res.stderr[i]) ** 2 for res, i in zip(self.heat, ends))
+            out.append((value, math.sqrt(var)))
+        return out
+
+    # mean squared gaps of consecutive bandwidths, per path block
+
+    @cached_property
+    def bridge_gaps(self) -> list[np.ndarray]:
+        # a bridge row starts with its k values and k - 1 gaps
+        return [self.bridge.mean[self.k : 2 * self.k - 1]]
+
+    @cached_property
+    def heat_gaps(self) -> list[np.ndarray]:
+        # the finest level's row starts each interval's block with its k
+        # values and k - 1 gaps
+        top = self.heat[-1]
+        width = top.mean.size // len(self.heat_intervals)
+        starts = [b * width + self.k for b in range(len(self.heat_intervals))]
+        return [top.mean[i : i + self.k - 1] for i in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +272,7 @@ def _eigen_monotone(inputs: _Inputs):
 def _quadratic_form_mc(inputs: _Inputs):
     f = StepFunction(np.array(_QF_BREAKPOINTS), np.array(_QF_COEFFS))
     expected = quadratic_form_Q(f)
-    task = partial(
-        weighted_increment_square,
-        points=_QF_BREAKPOINTS[1:],
-        coeffs=_QF_COEFFS,
-        interval=(0.0, 2.0),
-    )
-    res = inputs.run("qf-mc", task, min(100_000, 2 * inputs.config.replicates))
+    res = inputs.family("qf-mc")
     return float(res.mean[0]), expected, 0.0, float(res.stderr[0])
 
 
@@ -388,14 +395,7 @@ def _closed_form(inputs: _Inputs):
 
 
 def _agreement(inputs: _Inputs):
-    kw = {"points": _AGREE_POINTS, "interval": (0.0, 2.0)}
-    reps = inputs.config.replicates
-    res_path = inputs.run(
-        "sim-path", partial(path_increment_replicate, **kw), 4 * reps, return_raw=True
-    )
-    res_sheet = inputs.run(
-        "sim-sheet", partial(sheet_increment_replicate, **kw), max(2, reps // 5), return_raw=True
-    )
+    res_path, res_sheet = inputs.family("sim-path"), inputs.family("sim-sheet")
     mean_z = np.abs(res_path.mean - res_sheet.mean) / np.sqrt(
         res_path.stderr**2 + res_sheet.stderr**2
     )
@@ -435,8 +435,8 @@ def _value(inputs: _Inputs, estimate: str, reference: str, order: int, rel_tol: 
 def _heat_mean(inputs: _Inputs, block: int):
     interval = inputs.heat_intervals[block]
     expected = expected_smoothed_local_time("heat", inputs.config.z, inputs.eps_star, interval)
-    i = block * (2 * inputs.k - 1) + inputs.k - 1
-    return float(inputs.heat.mean[i]), expected, 0.0, float(inputs.heat.stderr[i])
+    value, se = inputs.heat_means[block]
+    return value, expected, 0.0, se
 
 
 def _second_moment_monotone(inputs: _Inputs):
@@ -458,11 +458,118 @@ def _endpoint_moments(inputs: _Inputs):
     return worst, 0.0, 4.0
 
 
-def _cauchy(inputs: _Inputs, family: str, block: int = 0):
-    # the family's columns run in blocks of k values and k - 1 gaps
-    start = block * (2 * inputs.k - 1) + inputs.k
-    gaps = [float(g) for g in getattr(inputs, family).mean[start : start + inputs.k - 1]]
+def _cauchy(inputs: _Inputs, gaps: str, block: int = 0):
+    gaps = [float(g) for g in getattr(inputs, gaps)[block]]
     return [a - b for a, b in zip(gaps, gaps[1:])], 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo families
+
+
+# the multilevel heat family's sizes, frozen from the pilot CHANGES.md
+# states: level l runs max(2, ceil(share_l x _LEVEL0_PER_REPLICATE x reps))
+# replicates, a level past the table the last share, and the finest
+# level at least ceil(reps / _FINEST_DIVISOR) for the Cauchy claims
+_LEVEL_SHARES = (1.0, 0.145, 0.087, 0.055, 0.032)
+_LEVEL0_PER_REPLICATE = 1.8
+_FINEST_DIVISOR = 16
+
+
+def heat_level_sizes(replicates: int, levels: int) -> tuple[int, ...]:
+    """Replicates of each heat level at ``replicates``, coarsest first.
+
+    A single level is the plain estimator, on ``replicates`` rows.
+    """
+    if levels == 1:
+        return (max(2, replicates),)
+    n0 = _LEVEL0_PER_REPLICATE * replicates
+    shares = [_LEVEL_SHARES[min(l, len(_LEVEL_SHARES) - 1)] for l in range(levels)]
+    sizes = [max(2, math.ceil(share * n0)) for share in shares]
+    sizes[-1] = max(sizes[-1], -(-replicates // _FINEST_DIVISOR))
+    return tuple(sizes)
+
+
+def _heat_levels(inputs: _Inputs) -> Levels:
+    """The heat family, one heat draw per replicate for both intervals, by levels.
+
+    Level l smooths at the schedule's l-th bandwidth on its grid from
+    :func:`level_grids`, and above level 0 its rows also hold the coupled
+    path of the level below; the finest level smooths at the whole
+    schedule, for the Cauchy claims.
+    """
+    c, sched = inputs.config, inputs.config.epsilon_schedule
+    grids = level_grids(c.grid_points, inputs.heat_intervals, sched)
+    tasks = tuple(
+        partial(
+            heat_replicate,
+            n=n,
+            intervals=inputs.heat_intervals,
+            z=c.z,
+            schedule=sched if l == inputs.k - 1 else sched[l : l + 1],
+            coarse=(grids[l - 1], sched[l - 1]) if l else None,
+        )
+        for l, n in enumerate(grids)
+    )
+    return Levels(tasks, partial(heat_level_sizes, levels=inputs.k))
+
+
+def _bridge_task(inputs: _Inputs):
+    # one motion path per replicate: the bridge's V and gaps, then the
+    # motion's V at extra_eps and w(1) in the last two columns
+    return partial(
+        bridge_motion_replicate,
+        n=inputs.config.grid_points,
+        z=inputs.config.z,
+        schedule=inputs.config.epsilon_schedule,
+        extra_eps=inputs.extra_eps,
+    )
+
+
+def _qf_task(inputs: _Inputs):
+    return partial(
+        weighted_increment_square,
+        points=_QF_BREAKPOINTS[1:],
+        coeffs=_QF_COEFFS,
+        interval=(0.0, 2.0),
+    )
+
+
+def _increment_task(task, inputs: _Inputs):
+    return partial(task, points=_AGREE_POINTS, interval=(0.0, 2.0))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One Monte Carlo family: ``task(inputs)`` on ``replicates(config)`` replicates.
+
+    It draws from the sub-seed of its tag, and ``raw`` keeps its rows.
+    """
+
+    tag: str
+    task: Callable[[_Inputs], object]
+    replicates: Callable[[RunConfig], int]
+    raw: bool = False
+
+
+FAMILIES: tuple[Family, ...] = (
+    Family("qf-mc", _qf_task, lambda c: min(100_000, 2 * c.replicates)),
+    Family(
+        "sim-path",
+        partial(_increment_task, path_increment_replicate),
+        lambda c: 4 * c.replicates,
+        raw=True,
+    ),
+    Family(
+        "sim-sheet",
+        partial(_increment_task, sheet_increment_replicate),
+        lambda c: max(2, c.replicates // 5),
+        raw=True,
+    ),
+    Family("mc-bridge", _bridge_task, lambda c: c.replicates, raw=True),
+    # both heat intervals, by levels; the tag names the family's seed as before
+    Family("mc-heat-short", _heat_levels, lambda c: c.replicates),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +647,9 @@ CLAIMS: tuple[Claim, ...] = (
         ("motion-endpoint-moments", TWO_SIDED, True, _endpoint_moments),
         ("levy-conditional-mean", TWO_SIDED, True, _estimate, "window_mean", "exp_window"),
         ("levy-conditional-value", TWO_SIDED, True, _value, "window_mean", "exp_window", 1, 0.05),
-        ("cauchy-monotone-bridge", BOUND, True, _cauchy, "bridge"),
-        ("cauchy-monotone-heat-short", BOUND, True, _cauchy, "heat", 0),
-        ("cauchy-monotone-heat-long", BOUND, True, _cauchy, "heat", 1),
+        ("cauchy-monotone-bridge", BOUND, True, _cauchy, "bridge_gaps"),
+        ("cauchy-monotone-heat-short", BOUND, True, _cauchy, "heat_gaps", 0),
+        ("cauchy-monotone-heat-long", BOUND, True, _cauchy, "heat_gaps", 1),
     ),
 )
 

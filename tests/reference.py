@@ -4,10 +4,11 @@ The package samples each process by one exact route: increments for the
 motion and the bridge, circulant embedding for the heat field.  The
 covariance route here draws a centred Gaussian vector as L z, for the
 Cholesky factor L of its covariance matrix and the seed's fixed-width row
-of standard normals z, as the package's Cholesky route does, and the
-closed form gives the simplex integrals that the quadratures in
-``heatlocal.gram`` must hit.  pytest does not collect this module; tests
-import from it.
+of standard normals z, as the package's Cholesky route does; the closed
+form gives the simplex integrals that the quadratures in ``heatlocal.gram``
+must hit; and a finite sum gives the exact mean of the smoothed local time
+on a grid, which each multilevel heat level must hit.  pytest does not
+collect this module; tests import from it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from heatlocal.local_time import marginal_variance, process_interval
 from heatlocal.sampling import SeedSpec, jittered_cholesky, normals_block
 
 
@@ -81,3 +83,19 @@ def sample_brownian_bridge(points, seed: SeedSpec) -> np.ndarray:
 def simplex_integral_closed_form(k: int) -> float:
     """pi^((k+1)/2) / Gamma((k+1)/2); the value the quadratures must hit."""
     return float(np.pi ** ((k + 1) / 2.0) / special.gamma((k + 1) / 2.0))
+
+
+def grid_smoothed_mean(process, interval, n: int, eps: float, z: float = 0.0) -> float:
+    """Exact mean of the trapezoid estimator V_eps on the uniform n-point grid.
+
+    The sum over the grid points t_j of w_j (2 pi (var(t_j) + eps))^(-1/2)
+    exp(-z^2 / (2 (var(t_j) + eps))), with w the trapezoid weights: every
+    simulated path is exact in law at its grid points, so this is the
+    estimator's mean to rounding, where
+    ``local_time.expected_smoothed_local_time`` is its grid-free limit.
+    """
+    lo, hi = process_interval(process, interval)
+    w = np.full(n, (hi - lo) / (n - 1))
+    w[[0, -1]] *= 0.5
+    v = marginal_variance(process, np.linspace(lo, hi, n), (lo, hi)) + eps
+    return float(np.sum(w * np.exp(-z * z / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)))

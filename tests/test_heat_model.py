@@ -40,6 +40,16 @@ def test_covariance_closed_form_spot_values():
     assert covariance_R(1.0) == pytest.approx(0.1996412283742457, rel=1e-12)
 
 
+def test_clamped_gaussian_term_keeps_the_bytes_of_the_plain_expression():
+    # exp(-d^2 / 4) is exactly 0 from d = 54.6 on, so reading the lag
+    # clamped at 64 changes no value, and huge lags no longer overflow
+    d = np.concatenate([np.linspace(0.0, 1e3, 200_001), [54.5, 54.6, 54.7, 63.9, 64.0, 64.1]])
+    plain = np.exp(-d * d / 4.0) / SQRT_PI - (d / 2.0) * special.erfc(d / 2.0)
+    assert covariance_R(d).tobytes() == plain.tobytes()
+    with np.errstate(over="raise", invalid="raise"):
+        assert covariance_R(np.array([1e154, 1e300])).tolist() == [0.0, 0.0]
+
+
 def test_covariance_is_even_and_decaying():
     d = np.linspace(0.0, 6.0, 40)
     vals = covariance_R(d)

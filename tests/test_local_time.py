@@ -23,6 +23,7 @@ from heatlocal.local_time import (
     expected_smoothed_local_time,
     heat_replicate,
     heat_values,
+    level_grids,
     levy_density_normalization,
     levy_joint_density,
     local_time_replicate,
@@ -33,8 +34,10 @@ from heatlocal.local_time import (
     second_moment_via_density,
     smoothed_values,
 )
-from heatlocal.mc import DEFAULT_EPSILON_SCHEDULE
-from heatlocal.sampling import SeedSpec
+from heatlocal import local_time, verify
+from heatlocal.mc import DEFAULT_EPSILON_SCHEDULE, Levels, RunConfig, run_replicates
+from heatlocal.sampling import SeedSpec, _coarse_half_spectrum, _half_spectrum
+from reference import grid_smoothed_mean
 
 ROOT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 
@@ -216,6 +219,102 @@ def test_heat_replicate_requires_every_interval_resolvable():
             heat_replicate(SeedSpec(5), 257, intervals, 0.0, (0.08, 0.04))
     out = heat_replicate(SeedSpec(5), 257, ((0.0, 2.0), (0.0, 1.0)), 0.0, (0.08, 0.04))
     assert out.shape == (6,)
+
+
+def test_grid_smoothed_mean_matches_the_quadrature_at_the_default_grid():
+    means = {(0.0, 2.0): HEAT_SHORT_MEAN_EPS_005, (0.0, 5.0): HEAT_LONG_MEAN_EPS_005}
+    for interval, mean in means.items():
+        assert grid_smoothed_mean("heat", interval, 8192, 0.005) == pytest.approx(mean, rel=1e-5)
+
+
+def test_level_grids_halve_while_the_half_resolves_the_bandwidth():
+    intervals = ((0.0, 2.0), (0.0, 5.0))
+    assert level_grids(8192, intervals, DEFAULT_EPSILON_SCHEDULE) == (512, 1024, 2048, 4096, 8192)
+    # 255 points resolve 0.08 on (0, 5) (floor 0.0784), 127 do not
+    assert level_grids(4096, intervals, DEFAULT_EPSILON_SCHEDULE)[0] == 256
+    # 2047 points do not resolve 0.009 on (0, 5) (floor 0.00977): 4096 is kept
+    assert level_grids(8192, intervals, (0.009, 0.007, 0.005)) == (4096, 4096, 8192)
+    assert level_grids(8192, intervals, (0.005,)) == (8192,)
+
+
+def test_coarse_half_spectrum_is_a_half_spectrum_of_its_length():
+    z = SeedSpec(3, 1).normals(16)
+    y = _half_spectrum(z)
+    out = np.empty(5, dtype=complex)
+    coarse = _coarse_half_spectrum(y, 8, out)
+    assert coarse[:4].tobytes() == y[:4].tobytes()
+    # the coarse Nyquist entry is real, and is the normal behind y[4]'s real part
+    assert coarse[4] == np.sqrt(2.0) * y[4].real and coarse[4].imag == 0.0
+    assert coarse[4] == pytest.approx(z[4])
+    # a coarse length equal to y's keeps y as it is
+    assert _coarse_half_spectrum(y, 16, np.empty(9, dtype=complex)).tobytes() == y.tobytes()
+
+
+def test_a_level_row_keeps_the_plain_heat_draw_of_its_seed():
+    # the coupled coarse path reads the half spectrum and leaves the
+    # level's own path, and so its V and gaps, as the plain task draws them
+    intervals = ((0.0, 2.0), (0.0, 5.0))
+    sched = DEFAULT_EPSILON_SCHEDULE
+    width = 2 * len(sched) - 1
+    for index in (0, 9):
+        seed = SeedSpec(4, index)
+        plain = heat_replicate(seed, 8192, intervals, 0.0, sched)
+        level = heat_replicate(seed, 8192, intervals, 0.0, sched, coarse=(4096, 0.01))
+        for b in range(2):
+            block = level[b * (width + 2) : (b + 1) * (width + 2)]
+            assert block[:width].tobytes() == plain[b * width : (b + 1) * width].tobytes()
+            assert block[-1] == block[len(sched) - 1] - block[-2]
+
+
+# the heat levels of a 2048-point grid on both suite intervals: grids 512,
+# 1024 and 2048 at bandwidths 0.08, 0.04 and 0.02
+_LEVEL_CONFIG = RunConfig(grid_points=2048, epsilon_schedule=(0.08, 0.04, 0.02))
+_LEVEL_ROWS = 2000
+
+
+def _level_z_scores(level: int) -> list[float]:
+    """z-scores of one level's V, coarse V and difference means against their exact grid means."""
+    inputs = verify._Inputs(_LEVEL_CONFIG)
+    sched, intervals = _LEVEL_CONFIG.epsilon_schedule, inputs.heat_intervals
+    grids = level_grids(_LEVEL_CONFIG.grid_points, intervals, sched)
+    task = verify._heat_levels(inputs).tasks[level]
+    res = run_replicates(task, replicates=_LEVEL_ROWS, master_seed=7 + level)
+    k, width = len(task.keywords["schedule"]), res.mean.size // len(intervals)
+    z = []
+    for b, interval in enumerate(intervals):
+        fine = grid_smoothed_mean("heat", interval, grids[level], sched[level])
+        cols = [(b * width + k - 1, fine)]
+        if level:
+            coarse = grid_smoothed_mean("heat", interval, grids[level - 1], sched[level - 1])
+            cols += [(b * width + width - 2, coarse), (b * width + width - 1, fine - coarse)]
+        z += [float((res.mean[i] - exact) / res.stderr[i]) for i, exact in cols]
+    return z
+
+
+@pytest.mark.parametrize("level", (0, 1, 2))
+def test_each_heat_level_mean_is_its_exact_grid_difference(level):
+    z = _level_z_scores(level)
+    assert len(z) == (2 if level == 0 else 6)
+    assert max(map(abs, z)) <= 4.0, z
+
+
+@pytest.mark.parametrize("level", (1, 2))
+def test_a_coarse_path_on_the_fine_grid_weights_fails_its_exact_mean(monkeypatch, level):
+    # negative control: the coarse path synthesised from the level's own
+    # (fine) embedding weights is no longer exact in law on its grid
+    grids = level_grids(2048, ((0.0, 2.0), (0.0, 5.0)), _LEVEL_CONFIG.epsilon_schedule)
+    real = local_time._embedding_weights
+
+    def fine_weights(n, spacing):
+        if n == grids[level - 1]:
+            return real(grids[level], spacing * (n - 1) / (grids[level] - 1))
+        return real(n, spacing)
+
+    monkeypatch.setattr(local_time, "_embedding_weights", fine_weights)
+    z = _level_z_scores(level)
+    # the level's own V is untouched; its coarse V and difference fail
+    assert max(abs(z[0]), abs(z[3])) <= 4.0, z
+    assert min(abs(v) for v in (z[1], z[2], z[4], z[5])) > 4.0, z
 
 
 def test_motion_replicate_carries_endpoint():

@@ -1032,8 +1032,11 @@ def test_every_local_time_task_has_a_block_form(monkeypatch, tmp_path):
             assert main(argv + (["--eps", "0.5,0.25"] if command == "localtime" else [])) == 0
     cfg = RunConfig(replicates=4, grid_points=1024, epsilon_schedule=(0.08, 0.04))
     verify.verify_all(cfg)
-    # qf-mc, sim-path, sim-sheet and the bridge and heat families
+    # qf-mc, sim-path, sim-sheet and the bridge and heat families; the
+    # heat family's two levels are each a task
     assert len(tasks) == 2 * len(PROCESSES) + 5
+    tasks = [t for task in tasks for t in getattr(task, "tasks", (task,))]
+    assert len(tasks) == 2 * len(PROCESSES) + 6
     assert all(mc._block_form(task) is not None for task in tasks)
 
 
@@ -1107,6 +1110,35 @@ def test_cli_non_finite_input_is_a_configuration_error(argv, monkeypatch, capsys
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("configuration error:")
+
+
+def test_cli_non_finite_aggregate_is_an_error(tmp_path, capsys):
+    # every V is near 4e149 at this bandwidth, so its third and fourth
+    # power sums overflow: a run error, not a table of inf moments
+    out = tmp_path / "lt.csv"
+    argv = ["localtime", "--process", "heat", "--interval", "0", "1e300", "--grid", "64",
+            "--reps", "3", "--eps", "1e300", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: the aggregate of 3 replicates is not finite")
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_cli_huge_heat_interval_runs_without_runtime_warnings():
+    # lags near 3e299 reach covariance_R, whose Gaussian term reads them clamped
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["simulate", "--process", "heat", "--interval", "0", "1e300", "--grid", "4",
+            "--reps", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "heatlocal.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 5
 
 
 def _small_run(command: str, process: str) -> list[str]:

@@ -12,7 +12,8 @@ from heatlocal.errors import ConfigError
 from heatlocal.grids import SpatialGrid
 from heatlocal.gram import bridge_moment_from_simplex, gram_det
 from heatlocal.heat_model import build_sheet_operator, covariance_R, sheet_variance_bias
-from heatlocal.mc import RunConfig
+from heatlocal.mc import CHUNK, RunConfig
+from heatlocal.reports import reports_to_csv
 from heatlocal.verify import (
     CLAIMS,
     covariance_reports,
@@ -329,8 +330,49 @@ def test_verify_deterministic_across_jobs():
         assert a.status == b.status
 
 
+def test_verify_bytes_do_not_depend_on_jobs_with_a_multi_chunk_heat_level():
+    # level 0 of the heat family spans three chunks and every other level
+    # one, so a pool runs chunks of several levels side by side
+    kwargs = dict(replicates=1200, grid_points=4096, master_seed=5)
+    sizes = verify.heat_level_sizes(1200, 5)
+    assert sizes[0] > 2 * CHUNK and all(n <= CHUNK for n in sizes[1:])
+
+    def csv_bytes(jobs):
+        reports = verify_all(RunConfig(jobs=jobs, **kwargs))
+        return [row.rsplit(",", 1)[0] for row in reports_to_csv(reports).splitlines()]
+
+    assert csv_bytes(1) == csv_bytes(3)
+
+
+def test_heat_level_sizes_follow_the_frozen_rule():
+    assert verify.heat_level_sizes(4000, 5) == (7200, 1044, 627, 396, 250)
+    # the finest level's share gives 2880 at the default scale, its floor 3125
+    assert verify.heat_level_sizes(50_000, 5) == (90_000, 13_050, 7830, 4950, 3125)
+    # levels past the table take its last share; one level is plain sampling
+    assert verify.heat_level_sizes(4000, 7)[4:] == (231, 231, 250)
+    assert verify.heat_level_sizes(4000, 1) == (4000,)
+    for reps in (1, 2, 3):
+        assert min(verify.heat_level_sizes(reps, 5)) == 2
+        assert verify.heat_level_sizes(reps, 1) == (max(2, reps),)
+
+
+@pytest.mark.parametrize("reps", (1, 2))
+def test_every_heat_level_runs_at_least_two_rows(reps):
+    cfg = RunConfig(replicates=reps, grid_points=4096, master_seed=3)
+    inputs = verify._Inputs(cfg)
+    assert [res.n >= 2 for res in inputs.heat] == [True] * 5
+    by_id = {r.claim_id: r.status for r in localtime_reports(cfg)}
+    heat = [cid for cid in by_id if "heat" in cid]
+    assert len(heat) == 4
+    # one replicate is never enough, however many rows a level draws
+    if reps == 1:
+        assert {by_id[cid] for cid in heat} == {"insufficient-power"}
+    else:
+        assert "insufficient-power" not in {by_id[cid] for cid in heat}
+
+
 # one family serves both heat intervals, on the heat-short sub-seed
-FAMILY_TAGS = ("qf-mc", "sim-path", "sim-sheet", "mc-bridge", "mc-heat-short")
+FAMILY_TAGS = tuple(f.tag for f in verify.FAMILIES)
 
 # calls per run of each quadrature the suite reads through heatlocal.verify
 QUADRATURE_CALLS = {
