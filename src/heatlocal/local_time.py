@@ -405,7 +405,7 @@ def require_resolvable(bandwidth: float, interval: tuple[float, float], n: int) 
 def _local_time_block(
     values: np.ndarray, interval: tuple[float, float], z: float, schedule: tuple[float, ...]
 ) -> np.ndarray:
-    """The schedule's V_eps values of each path row, then their squared gaps."""
+    """The schedule's V_eps values of each path row, then their squared gaps, if any."""
     trap_w = _trapezoid_weights(*interval, values.shape[-1])
     v = smoothed_values(values, trap_w, z, schedule)
     return np.concatenate([v, np.diff(v, axis=-1) ** 2], axis=-1)
@@ -442,8 +442,7 @@ def heat_rows(
         for i, iv in enumerate(intervals):
             out.append(_local_time_block(paths[i], iv, z, schedule))
             if coarse is not None:
-                trap_w = _trapezoid_weights(*iv, coarse[0])
-                v = smoothed_values(paths[len(intervals) + i], trap_w, z, coarse[1:])
+                v = _local_time_block(paths[len(intervals) + i], iv, z, coarse[1:])
                 out += [v, out[-1][:, k - 1 : k] - v]
         return np.concatenate(out, axis=1)
 
@@ -516,7 +515,7 @@ def bridge_motion_rows(
 
     def block(w):
         bridge = _local_time_block(_pin_to_bridge(w), (0.0, 1.0), z, schedule)
-        v_motion = smoothed_values(w, _trapezoid_weights(0.0, 1.0, n), z, (extra_eps,))
+        v_motion = _local_time_block(w, (0.0, 1.0), z, (extra_eps,))
         return np.concatenate([bridge, v_motion, w[:, -1:]], axis=1)
 
     return np.concatenate([block(w) for w in _motion_batches(master_seed, start, stop, n)])

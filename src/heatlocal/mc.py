@@ -13,16 +13,15 @@ tasks draw each row from the path stream of its SeedSpec
 batches of :data:`heatlocal.local_time.BATCH` paths, with one inverse
 FFT or cumulative sum per batch; the covariance-route tasks draw
 fixed-width rows (:func:`heatlocal.sampling.normals_block`), which a
-block form reads for a whole chunk in one call.  One ordered map yields
-the per-chunk power sums (numpy pairwise sums) in index order, and they
-are folded in that order; as the chunk boundaries never depend on the
-worker count, the aggregate is bit-identical for any ``jobs`` value.
-A pool is sent batches of consecutive whole chunks, largest first
-(guided self-scheduling), so cheap chunks do not each pay a dispatch;
-the batches only group chunks, so the bytes depend on neither the
-batching nor ``jobs``.  A :class:`Levels` task, the levels of a
-multilevel estimator, runs each level as a family of its own on a
-derived seed, with the chunks of every level in one map.
+block form reads for a whole chunk in one call.  Every run, whatever
+``jobs``, has one plan: its chunks are grouped into batches of
+consecutive whole chunks, largest first (guided self-scheduling, so
+cheap chunks do not each pay a dispatch), and one ordered map, the
+builtin or a pool's, yields their power sums (numpy pairwise sums),
+folded in index order.  The batches only group chunks, so the aggregate
+is bit-identical for any ``jobs`` value.  A :class:`Levels` task, the
+levels of a multilevel estimator, runs each level as a family of its
+own on a derived seed, with the chunks of every level in one map.
 
 Pool workers keep the BLAS thread count their parent fixed at import.
 Some task arithmetic reaches OpenBLAS: the stacked ``matmul`` products of
@@ -200,7 +199,7 @@ def _batch_power_sums(chunk, starts):
 
 
 def _guided_batches(starts, workers: int):
-    """Consecutive runs of ``starts`` for ``workers`` pool workers.
+    """Consecutive runs of ``starts`` for ``workers`` workers (one when serial).
 
     Guided self-scheduling: each batch takes 1 / (2 * workers) of the
     chunks left, at most :data:`CAP` and at least one, so the batches
@@ -266,15 +265,11 @@ def _run_families(families, jobs: int, return_raw: bool) -> list[MCResult]:
     order = range(len(families) - 1, -1, -1)
     workers = min(jobs, sum(map(len, starts)))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    items = [(f, b) for f in order for b in _guided_batches(starts[f], workers)]
     with pool or contextlib.nullcontext():
-        if pool:
-            items = [(f, b) for f in order for b in _guided_batches(starts[f], workers)]
-            results = pool.map(
-                _batch_power_sums, [chunks[f] for f, _ in items], [b for _, b in items]
-            )
-        else:
-            items = [(f, [s]) for f in order for s in starts[f]]
-            results = ([chunks[f](s)] for f, (s,) in items)
+        results = (pool.map if pool else map)(
+            _batch_power_sums, [chunks[f] for f, _ in items], [b for _, b in items]
+        )
         totals, raws = [None] * len(families), [None] * len(families)
         for (f, _), batch in zip(items, results):
             for start, sums, block in batch:
@@ -305,13 +300,12 @@ def run_replicates(
     replicate.  A :class:`Levels` task runs each of its levels as a family
     of its own, in one map, and gives a tuple of results.  A ``config``
     supplies replicates, master seed and jobs; otherwise the keywords do.
-    Chunks come from a generator over single chunks, or in a pool from
-    ``ProcessPoolExecutor.map`` over batches of whole chunks
-    (:func:`_guided_batches`); both yield in submission order, and the
-    bytes depend on neither the batching nor ``jobs``.  Task exceptions
-    surface as :class:`ReplicateFailure` carrying the replicate index, and
-    cancel the batches still queued; an aggregate that is not finite
-    raises :class:`NonFiniteAggregate`.
+    Batches of whole chunks (:func:`_guided_batches`) go through ``map``,
+    or ``ProcessPoolExecutor.map`` when jobs > 1; both yield in
+    submission order, so the bytes depend on neither the batching nor
+    ``jobs``.  Task exceptions surface as :class:`ReplicateFailure`
+    carrying the replicate index, and cancel the batches still queued;
+    an aggregate that is not finite raises :class:`NonFiniteAggregate`.
     """
     if config is not None:
         replicates, master_seed, jobs = config.replicates, config.master_seed, config.jobs

@@ -37,6 +37,10 @@ INSUFFICIENT = "insufficient-power"
 
 _FLOAT_FMT = "%.17g"
 
+# a Monte Carlo claim passes within this many standard errors, and a
+# z-score claim is bounded by it
+SE_RULE = 4.0
+
 
 def _as_tuple(x) -> tuple[float, ...]:
     if isinstance(x, (int, float)):
@@ -74,12 +78,12 @@ def two_sided_report(
     """Report passing when max|observed - expected| <= effective tolerance.
 
     For Monte Carlo claims the effective tolerance is
-    max(tolerance, 4 * standard_error).
+    max(tolerance, SE_RULE * standard_error).
     """
     obs, exp = _as_tuple(observed), _as_tuple(expected)
     eff = tolerance
     if standard_error is not None:
-        eff = max(eff, 4.0 * standard_error)
+        eff = max(eff, SE_RULE * standard_error)
     dev = max(abs(o - e) for o, e in zip(obs, exp)) if obs else 0.0
     if insufficient:
         status = INSUFFICIENT

@@ -9,7 +9,7 @@ keep to disjoint counter domains, told apart by the fourth counter word:
 * A path stream, named by a :class:`SeedSpec` (master seed, replicate
   index), starts at counter [0, 0, index, 0] and advances the first word;
   :func:`path_normals` reads the heads of a range of them with numpy's
-  ziggurat, one row each, :meth:`SeedSpec.normals` reads one, and
+  ziggurat, one row each, the one fixed-size read of a path stream, and
   :meth:`SeedSpec.rng` hands a stream out as an open-ended generator.
   The local-time paths, and the spectral and gram sweeps, draw from
   these.
@@ -117,18 +117,10 @@ class SeedSpec:
         """A new generator positioned at the start of this stream.
 
         For callers that draw an open-ended sequence; a fixed-size draw
-        should use :meth:`normals`, which skips building a generator.
+        should use :func:`path_normals`, which skips building a generator.
         """
         key, counter = (np.array(w, dtype=np.uint64) for w in self._words())
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-    def normals(self, size: int) -> np.ndarray:
-        """The first ``size`` standard normals of this stream.
-
-        Bit-identical to ``self.rng().standard_normal(size)``, drawn from
-        the calling thread's module-owned Philox.
-        """
-        return _STREAM.load(*self._words()).standard_normal(size)
 
 
 def _check_word(name: str, v) -> None:
@@ -309,4 +301,5 @@ def sample_stationary_values(weights: np.ndarray, seed: SeedSpec, n: int) -> np.
     m = weights.size
     if n > m // 2 + 1:
         raise ValueError("requested block exceeds the exact embedding range")
-    return _weighted_synthesis(weights, _half_spectrum(seed.normals(m)), n)
+    z = path_normals(seed.master_seed, seed.replicate_index, np.empty((1, m)))[0]
+    return _weighted_synthesis(weights, _half_spectrum(z), n)

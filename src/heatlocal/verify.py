@@ -3,10 +3,10 @@
 Every quantitative claim the package makes is one entry of :data:`CLAIMS`
 and is reported as a :class:`SuiteReport`.  Deterministic identities carry
 absolute or relative tolerances; Monte Carlo claims pass within
-max(tolerance, 4 x standard error).  All randomness is derived from the
-config's master seed through per-claim tags, so two runs with the same
-seed produce byte-identical reports (runtimes aside) for any worker
-count.
+max(tolerance, SE_RULE x standard error), :data:`heatlocal.reports.SE_RULE`
+being 4.  Each shared input draws from the config's master seed through
+its own tag, so two runs with the same seed produce byte-identical
+reports (runtimes aside) for any worker count.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .local_time import (
     require_resolvable,
     second_moment_via_density,
 )
-from .mc import Levels, MCResult, RunConfig, derive_master, run_replicates
-from .reports import FAIL, SuiteReport, bound_report, two_sided_report
+from .mc import Levels, RunConfig, derive_master, run_replicates
+from .reports import FAIL, SE_RULE, SuiteReport, bound_report, two_sided_report
 from .sampling import SeedSpec
 from .spectral import (
     StepFunction,
@@ -76,6 +76,9 @@ _QF_COEFFS = (1.2, -0.7, 2.0, 0.4, -1.5)
 # the interval base so the documented sheet cutoff bias stays well inside
 # the covariance error bars
 _AGREE_POINTS = (0.6, 0.9, 1.2, 1.5, 1.8, 2.0)
+
+# parameter interval of the covariance-route simulators (path, sheet and qf-mc)
+_SIM_INTERVAL = (0.0, 2.0)
 
 _SWEEP_SIZE = 1000
 _GRAM_SWEEP = 500
@@ -163,14 +166,6 @@ class _Inputs:
         # one stream, read by the gram sweeps in registry order
         return SeedSpec(derive_master(self.config.master_seed, "gram-sweep")).rng()
 
-    @property
-    def bridge(self) -> MCResult:
-        return self.family("mc-bridge")
-
-    @property
-    def heat(self) -> tuple[MCResult, ...]:
-        return self.family("mc-heat-short")
-
     @cached_property
     def exp_bridge(self) -> float:
         return expected_smoothed_local_time("bridge", self.config.z, self.eps_star)
@@ -187,18 +182,19 @@ class _Inputs:
 
     @cached_property
     def bridge_mean(self) -> tuple[float, float]:
-        return float(self.bridge.mean[self.k - 1]), float(self.bridge.stderr[self.k - 1])
+        res = self.family("mc-bridge")
+        return float(res.mean[self.k - 1]), float(res.stderr[self.k - 1])
 
     @cached_property
     def bridge_m2(self) -> tuple[float, float]:
-        res, i = self.bridge, self.k - 1
+        res, i = self.family("mc-bridge"), self.k - 1
         var = max(float(res.m4[i] - res.m2[i] ** 2), 0.0)
         return float(res.m2[i]), float(np.sqrt(var / res.n)) if res.n > 1 else 0.0
 
     @cached_property
     def window_mean(self) -> tuple[float, float | None]:
         # V at extra_eps on the replicates whose endpoint lies in the window
-        raw = self.bridge.raw
+        raw = self.family("mc-bridge").raw
         sample = raw[:, -2][np.abs(raw[:, -1]) < _WINDOW]
         if sample.size < 2:
             return 0.0, None
@@ -213,11 +209,11 @@ class _Inputs:
         of V at eps*, and their variances over the level sizes to its
         squared standard error.
         """
-        out, blocks = [], len(self.heat_intervals)
+        out, blocks, heat = [], len(self.heat_intervals), self.family("mc-heat-short")
         for b in range(blocks):
-            ends = [(b + 1) * (res.mean.size // blocks) - 1 for res in self.heat]
-            value = sum(float(res.mean[i]) for res, i in zip(self.heat, ends))
-            var = sum(float(res.stderr[i]) ** 2 for res, i in zip(self.heat, ends))
+            ends = [(b + 1) * (res.mean.size // blocks) - 1 for res in heat]
+            value = sum(float(res.mean[i]) for res, i in zip(heat, ends))
+            var = sum(float(res.stderr[i]) ** 2 for res, i in zip(heat, ends))
             out.append((value, math.sqrt(var)))
         return out
 
@@ -226,13 +222,13 @@ class _Inputs:
     @cached_property
     def bridge_gaps(self) -> list[np.ndarray]:
         # a bridge row starts with its k values and k - 1 gaps
-        return [self.bridge.mean[self.k : 2 * self.k - 1]]
+        return [self.family("mc-bridge").mean[self.k : 2 * self.k - 1]]
 
     @cached_property
     def heat_gaps(self) -> list[np.ndarray]:
         # the finest level's row starts each interval's block with its k
         # values and k - 1 gaps
-        top = self.heat[-1]
+        top = self.family("mc-heat-short")[-1]
         width = top.mean.size // len(self.heat_intervals)
         starts = [b * width + self.k for b in range(len(self.heat_intervals))]
         return [top.mean[i : i + self.k - 1] for i in starts]
@@ -403,11 +399,11 @@ def _agreement(inputs: _Inputs):
     cov_s, se_s = _cov_and_se(res_sheet.raw)
     cov_z = np.abs(cov_p - cov_s) / np.sqrt(se_p**2 + se_s**2)
     iu = np.triu_indices(len(_AGREE_POINTS))
-    return max(float(np.max(mean_z)), float(np.max(cov_z[iu]))), 0.0, 4.0
+    return max(float(np.max(mean_z)), float(np.max(cov_z[iu]))), 0.0, SE_RULE
 
 
 def _sheet_bias(inputs: _Inputs):
-    op = build_sheet_operator(SpatialGrid(np.array(_AGREE_POINTS), (0.0, 2.0)))
+    op = build_sheet_operator(SpatialGrid(np.array(_AGREE_POINTS), _SIM_INTERVAL))
     deficits = covariance_R(0.0) - np.diag(op.gram)
     bias = sheet_variance_bias()
     return tuple(float(d) for d in deficits), (bias,) * deficits.size, 1e-9
@@ -446,16 +442,16 @@ def _second_moment_monotone(inputs: _Inputs):
 
 
 def _endpoint_moments(inputs: _Inputs):
-    w1 = inputs.bridge.raw[:, -1]
+    w1 = inputs.family("mc-bridge").raw[:, -1]
     n = w1.size
     if n < 2:
-        return 0.0, 0.0, 4.0
+        return 0.0, 0.0, SE_RULE
     # z-scores of the first, second and fourth moments against 0, 1 and 3
     worst = max(
         abs(float(np.mean(w1**p)) - m) / float(np.std(w1**p, ddof=1) / np.sqrt(n))
         for p, m in ((1, 0.0), (2, 1.0), (4, 3.0))
     )
-    return worst, 0.0, 4.0
+    return worst, 0.0, SE_RULE
 
 
 def _cauchy(inputs: _Inputs, gaps: str, block: int = 0):
@@ -531,12 +527,12 @@ def _qf_task(inputs: _Inputs):
         weighted_increment_square,
         points=_QF_BREAKPOINTS[1:],
         coeffs=_QF_COEFFS,
-        interval=(0.0, 2.0),
+        interval=_SIM_INTERVAL,
     )
 
 
 def _increment_task(task, inputs: _Inputs):
-    return partial(task, points=_AGREE_POINTS, interval=(0.0, 2.0))
+    return partial(task, points=_AGREE_POINTS, interval=_SIM_INTERVAL)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from heatlocal.local_time import (
 )
 from heatlocal import local_time, verify
 from heatlocal.mc import DEFAULT_EPSILON_SCHEDULE, Levels, RunConfig, run_replicates
-from heatlocal.sampling import SeedSpec, _coarse_half_spectrum, _half_spectrum
+from heatlocal.sampling import SeedSpec, _coarse_half_spectrum, _half_spectrum, path_normals
 from reference import grid_smoothed_mean
 
 ROOT_HALF_PI = float(np.sqrt(np.pi / 2.0))
@@ -238,7 +238,7 @@ def test_level_grids_halve_while_the_half_resolves_the_bandwidth():
 
 
 def test_coarse_half_spectrum_is_a_half_spectrum_of_its_length():
-    z = SeedSpec(3, 1).normals(16)
+    z = path_normals(3, 1, np.empty((1, 16)))[0]
     y = _half_spectrum(z)
     out = np.empty(5, dtype=complex)
     coarse = _coarse_half_spectrum(y, 8, out)

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,16 +331,46 @@ def test_verify_deterministic_across_jobs():
         assert a.status == b.status
 
 
-def test_verify_bytes_do_not_depend_on_jobs_with_a_multi_chunk_heat_level():
-    # level 0 of the heat family spans three chunks and every other level
-    # one, so a pool runs chunks of several levels side by side
-    kwargs = dict(replicates=1200, grid_points=4096, master_seed=5)
-    sizes = verify.heat_level_sizes(1200, 5)
+# (reports, config) per case; the other cases change only what the
+# localtime block reads, so they run that block alone, at 3100 replicates:
+# their largest family spans four chunks or more, which the serial run
+# batches several at a time
+_JOBS_CASES = {
+    "default": (verify_all, dict(replicates=1200, grid_points=4096)),
+    # one bandwidth: the plain level of heat_level_sizes(..., 1)
+    "one-bandwidth": (
+        localtime_reports,
+        dict(replicates=3100, grid_points=1024, epsilon_schedule=(0.08,)),
+    ),
+    # non-dyadic: level grids (300, 300, 600), one exp per bandwidth
+    "non-dyadic": (
+        localtime_reports,
+        dict(replicates=3100, grid_points=600, epsilon_schedule=(0.08, 0.07, 0.05)),
+    ),
+    "long-interval": (
+        localtime_reports,
+        dict(
+            replicates=3100,
+            grid_points=2048,
+            epsilon_schedule=(0.08, 0.04, 0.02),
+            interval=(0.0, 5.0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _JOBS_CASES)
+def test_verify_bytes_do_not_depend_on_jobs_with_a_multi_chunk_heat_level(case):
+    # level 0 of the heat family spans three chunks or more and every other
+    # level one, so a pool runs chunks of several levels side by side
+    reports, kwargs = _JOBS_CASES[case]
+    cfg = RunConfig(master_seed=5, **kwargs)
+    sizes = verify.heat_level_sizes(cfg.replicates, len(cfg.epsilon_schedule))
     assert sizes[0] > 2 * CHUNK and all(n <= CHUNK for n in sizes[1:])
 
     def csv_bytes(jobs):
-        reports = verify_all(RunConfig(jobs=jobs, **kwargs))
-        return [row.rsplit(",", 1)[0] for row in reports_to_csv(reports).splitlines()]
+        rows = reports_to_csv(reports(replace(cfg, jobs=jobs))).splitlines()
+        return [row.rsplit(",", 1)[0] for row in rows]
 
     assert csv_bytes(1) == csv_bytes(3)
 
@@ -360,7 +391,7 @@ def test_heat_level_sizes_follow_the_frozen_rule():
 def test_every_heat_level_runs_at_least_two_rows(reps):
     cfg = RunConfig(replicates=reps, grid_points=4096, master_seed=3)
     inputs = verify._Inputs(cfg)
-    assert [res.n >= 2 for res in inputs.heat] == [True] * 5
+    assert [res.n >= 2 for res in inputs.family("mc-heat-short")] == [True] * 5
     by_id = {r.claim_id: r.status for r in localtime_reports(cfg)}
     heat = [cid for cid in by_id if "heat" in cid]
     assert len(heat) == 4
